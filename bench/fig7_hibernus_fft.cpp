@@ -20,7 +20,7 @@
 // inside each burst, and the headline speedup lands in the 25x class
 // (recorded per push in BENCH_7.json as BM_MacroPair/Fig7Gapped_*). The
 // *charge-ramp survey* swaps the sine bursts for DC bursts, where the
-// charge-span planner (circuit::ChargeSolution) makes every charging
+// exact charge certificates (circuit::AffineSolution) make every charging
 // ramp analytic too — the 40x class, gated at 25x.
 #include <chrono>
 #include <cmath>
@@ -186,8 +186,8 @@ int main(int argc, char** argv) {
           "gap-survey event sequence matches the fine path");
 
     // Charge-ramp survey: DC bursts make every charging ramp one analytic
-    // span (circuit::ChargeSolution), the regime the charge-span planner
-    // exists for.
+    // span (circuit::AffineSolution), the regime exact certificates
+    // exist for.
     sim::SimResult ramp_macro, ramp_fine;
     const double ramp_macro_millis =
         wall_millis(fig7::charge_ramp_spec(), ramp_macro, true, /*repeats=*/5);

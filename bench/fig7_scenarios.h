@@ -55,10 +55,10 @@ inline edc::spec::SystemSpec gapped_spec() {
 /// every 10 s (a bench supply gated on/off — SquareVoltageSource's exact
 /// phase arithmetic certifies each burst as one constant window). Every
 /// regime is then analytic: the burst's charging ramp jumps to the
-/// power-on / V_R rising crossing (circuit::ChargeSolution), the parked
+/// power-on / V_R rising crossing (circuit::AffineSolution), the parked
 /// equilibrium rides to the burst's end, and the gap decays as in
 /// gapped_spec — only boot/active/save/restore steps run finely. This is
-/// the scenario class the charge-span planner exists for, and the pair
+/// the scenario class exact charge certificates exist for, and the pair
 /// BM_MacroPair/Fig7ChargeRamp_* records in BENCH_7.json.
 inline edc::spec::SystemSpec charge_ramp_spec() {
   edc::spec::SystemSpec s = base_spec();

@@ -169,8 +169,8 @@ spec::SystemSpec fig8_wind_survey_spec() { return fig8::wind_survey_spec(); }
 
 /// The Fig 7 charge-ramp survey (bench/fig7_scenarios.h — the exact
 /// scenario the fig7_hibernus_fft --macro survey gates): DC bursts make
-/// every charging ramp one analytic ChargeSolution span, so this pair
-/// tracks the charge-span planner per push.
+/// every charging ramp one analytic exact-certificate span, so this pair
+/// tracks the exact (plan_charge_span) certificate path per push.
 spec::SystemSpec fig7_charge_ramp_spec() { return fig7::charge_ramp_spec(); }
 
 BENCHMARK_CAPTURE(BM_MacroPair, Fig7Sine_fine, fig7_like_spec(), false)

@@ -67,72 +67,35 @@ void ComparatorBank::reset(Volts v) {
   for (auto& comparator : comparators_) comparator.reset(v);
 }
 
-Seconds ComparatorBank::plan_falling_crossing(const DecaySolution& decay,
-                                              Volts* trip_out) const {
-  // The decay is monotone, so the earliest crossing belongs to the highest
-  // relevant trip; tracking the max trip and converting once keeps the
-  // time/trip pair consistent.
-  Volts highest = -1.0;
-  for (const auto& comparator : comparators_) {
-    if (!comparator.output()) continue;  // rising trips cannot fire on a decay
-    const Volts trip = comparator.falling_trip();
-    // update() needs v_prev strictly above the trip; a decay starting at or
-    // below it can never supply that, so such comparators stay latched. A
-    // negative trip (hysteresis wider than twice the threshold) can never
-    // fire either — the node clamps at ground.
-    if (trip >= decay.v0 || trip < 0.0) continue;
-    highest = std::max(highest, trip);
+Seconds first_fire(const AffineSolution& trajectory, Volts trip, Trigger trigger,
+                   Volts pad, Seconds t_max) {
+  const Volts v0 = trajectory.v0();
+  bool down = trigger == Trigger::falling_edge || trigger == Trigger::below;
+  const bool edge = trigger == Trigger::falling_edge || trigger == Trigger::rising_edge;
+  if (edge && !(down ? v0 > trip : v0 < trip)) {
+    // Latched: update() needs a previous sample strictly on the armed side.
+    if (pad == 0.0 && trajectory.monotone()) {
+      return std::numeric_limits<Seconds>::infinity();
+    }
+    down = !down;
   }
-  if (highest < 0.0) return std::numeric_limits<Seconds>::infinity();
-  if (trip_out != nullptr) *trip_out = highest;
-  return decay.time_to_reach(highest);
+  const Volts level = down ? trip + pad : trip - pad;
+  if (down ? v0 <= level : v0 >= level) return 0.0;
+  return trajectory.time_to_reach(level, t_max);
 }
 
-Seconds ComparatorBank::plan_ramp_crossing(const LinearRampSolution& ramp,
-                                           Volts err_pad, Seconds t_max,
-                                           Volts* trip_out) const {
-  Seconds earliest = std::numeric_limits<Seconds>::infinity();
-  Volts binding = 0.0;
+Crossing ComparatorBank::plan_crossing(const AffineSolution& trajectory, Volts pad,
+                                       Seconds t_max) const {
+  Crossing crossing;
   for (const auto& comparator : comparators_) {
-    const Volts trip =
-        comparator.output() ? comparator.falling_trip() : comparator.rising_trip();
-    // A negative falling trip can never fire — the node clamps at ground
-    // (and ramp spans additionally certify a positive voltage floor).
+    const bool high = comparator.output();
+    const Volts trip = high ? comparator.falling_trip() : comparator.rising_trip();
     if (trip < 0.0) continue;
-    Seconds entry;
-    if (ramp.v0 > trip + err_pad) {
-      entry = ramp.time_to_reach(trip + err_pad, t_max);
-    } else if (ramp.v0 < trip - err_pad) {
-      entry = ramp.time_to_reach(trip - err_pad, t_max);
-    } else {
-      entry = 0.0;  // the start already sits inside the trip's band
-    }
-    if (entry < earliest) {
-      earliest = entry;
-      binding = trip;
-    }
+    const Seconds time = first_fire(
+        trajectory, trip, high ? Trigger::falling_edge : Trigger::rising_edge, pad, t_max);
+    if (time < crossing.time) crossing = {time, trip};
   }
-  if (trip_out != nullptr && std::isfinite(earliest)) *trip_out = binding;
-  return earliest;
-}
-
-Seconds ComparatorBank::plan_rising_crossing(const ChargeSolution& charge,
-                                             Volts* trip_out) const {
-  // The rise is monotone, so the earliest crossing belongs to the lowest
-  // relevant trip; tracking the min trip and converting once keeps the
-  // time/trip pair consistent.
-  Volts lowest = std::numeric_limits<Volts>::infinity();
-  for (const auto& comparator : comparators_) {
-    if (comparator.output()) continue;  // falling trips cannot fire on a rise
-    const Volts trip = comparator.rising_trip();
-    // update() needs v_prev strictly below the trip; a rise starting at or
-    // above it can never supply that, so such comparators stay latched.
-    if (trip <= charge.v0) continue;
-    lowest = std::min(lowest, trip);
-  }
-  if (std::isinf(lowest)) return std::numeric_limits<Seconds>::infinity();
-  if (trip_out != nullptr) *trip_out = lowest;
-  return charge.time_to_reach(lowest);
+  return crossing;
 }
 
 }  // namespace edc::circuit

@@ -5,6 +5,8 @@
 // recovers through the restore threshold V_R. This models that analog block.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,9 +15,7 @@
 
 namespace edc::circuit {
 
-struct ChargeSolution;
-struct DecaySolution;
-struct LinearRampSolution;
+class AffineSolution;
 
 enum class Edge { rising, falling };
 
@@ -24,6 +24,36 @@ struct ComparatorEvent {
   Edge edge = Edge::falling;
   Seconds time = 0.0;  ///< interpolated crossing instant
   Volts threshold = 0.0;
+};
+
+/// How a supply watcher fires (the quiescent engine's crossing rule).
+enum class Trigger : std::uint8_t {
+  falling_edge,  ///< a high comparator: V drops to <= trip from above it
+  rising_edge,   ///< a low comparator: V climbs to >= trip from below it
+  below,         ///< level: V < trip (the MCU's v_min brown-out)
+  at_or_above,   ///< level: V >= trip (the MCU's v_on power-on release)
+};
+
+/// The crossing rule for span planning: a lower bound on the first instant
+/// `trigger` at `trip` could fire while the modelled supply follows
+/// `trajectory` and the true voltage stays within `pad` (>= 0, a chord
+/// certificate's envelope) of it, starting exactly at trajectory.v0().
+/// The true voltage can reach a level once the model enters the level's
+/// +/- pad band, so the bound is the band-entry time: 0 when the start is
+/// already inside, otherwise the first passage to the near band edge
+/// (AffineSolution::time_to_reach, +infinity when it is never reached,
+/// including after t_max on non-monotone trajectories). An edge whose
+/// comparator starts latched (at or past its trip on the fired side) must
+/// first travel back to its armed side, so the band is entered from that
+/// side instead — and an exact (pad = 0) monotone trajectory, which crosses
+/// each level at most once, never fires it.
+[[nodiscard]] Seconds first_fire(const AffineSolution& trajectory, Volts trip,
+                                 Trigger trigger, Volts pad, Seconds t_max);
+
+/// The binding watcher of a planned span.
+struct Crossing {
+  Seconds time = std::numeric_limits<Seconds>::infinity();  ///< +inf: none
+  Volts trip = 0.0;  ///< its trip level (valid when time is finite)
 };
 
 /// One comparator: output is high when v > threshold (+/- hysteresis/2).
@@ -75,51 +105,12 @@ class ComparatorBank {
                                       Seconds t_now);
   void reset(Volts v);
 
-  /// Span-planning API for the quiescent engine (sim/quiescent_engine.h):
-  /// the earliest instant any comparator in the bank would toggle while the
-  /// supply follows the monotonically-decaying `decay` from decay.v0. Only
-  /// falling trips of currently-high outputs can fire on a decay (a rising
-  /// trip needs the voltage to increase, and a trip at or above v0 needs a
-  /// previous sample strictly above it, which a decay from v0 never
-  /// produces again), so this is the exact analytic next-event time:
-  /// +infinity when no comparator can toggle on this trajectory. When the
-  /// crossing exists, `trip_out` (if non-null) receives its trip voltage —
-  /// the level a planned span must provably stay above so the crossing step
-  /// still sees the v_prev > trip transition when fine stepping resumes.
-  [[nodiscard]] Seconds plan_falling_crossing(const DecaySolution& decay,
-                                              Volts* trip_out = nullptr) const;
-
-  /// The charging mirror of plan_falling_crossing: the earliest instant any
-  /// comparator would toggle while the supply follows the monotonically
-  /// *rising* `charge` trajectory from charge.v0. Only rising trips of
-  /// currently-low outputs strictly above v0 can fire on a rise (a falling
-  /// trip needs the voltage to decrease, and a trip at or below v0 needs a
-  /// previous sample strictly below it, which a rise from v0 never produces
-  /// again), so the earliest crossing belongs to the lowest such trip:
-  /// +infinity when no comparator can toggle (including trips the asymptote
-  /// never reaches). `trip_out` receives the trip voltage a planned span
-  /// must provably stay *below* so the crossing step still sees the
-  /// v_prev < trip transition when fine stepping resumes.
-  [[nodiscard]] Seconds plan_rising_crossing(const ChargeSolution& charge,
-                                             Volts* trip_out = nullptr) const;
-
-  /// The interval-certified mirror for *non-monotone* linear-ramp
-  /// trajectories (circuit::LinearRampSolution), where the modeled voltage
-  /// may additionally deviate from the true node voltage by up to
-  /// `err_pad` (>= 0, the ramp certificate's envelope). A toggle in either
-  /// direction requires the true voltage to touch the armed trip, and the
-  /// true voltage stays within err_pad of the model — so the first instant
-  /// the model *enters* the band [trip - err_pad, trip + err_pad] bounds
-  /// every possible fire from below. Unlike the monotone planners no
-  /// comparator can be ruled out by its output state alone (a ramp can dip
-  /// and recross), so every armed trip is checked against the band-entry
-  /// rule; returns 0 when some trip's band already contains the ramp's
-  /// start (no span is certifiable), +infinity when no comparator can
-  /// toggle within [0, t_max]. `trip_out` receives the binding trip, which
-  /// a planned span's end voltage must provably stay err_pad clear of.
-  [[nodiscard]] Seconds plan_ramp_crossing(const LinearRampSolution& ramp,
-                                           Volts err_pad, Seconds t_max,
-                                           Volts* trip_out = nullptr) const;
+  /// Span planning for the quiescent engine (sim/quiescent_engine.h): the
+  /// earliest first_fire() over the bank — each comparator watched on its
+  /// armed edge (falling trip while high, rising trip while low). Negative
+  /// trips never fire (the node clamps at ground).
+  [[nodiscard]] Crossing plan_crossing(const AffineSolution& trajectory, Volts pad,
+                                       Seconds t_max) const;
 
  private:
   std::vector<Comparator> comparators_;

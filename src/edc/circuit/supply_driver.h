@@ -21,7 +21,7 @@ namespace edc::circuit {
 ///
 /// with both parameters constant. Unlike quiescent_until's quiet claim this
 /// is an exactness contract — the engine substitutes the closed-form
-/// rectifier+RC charge trajectory (circuit::ChargeSolution) for the fine
+/// rectifier+RC charge trajectory (circuit::AffineSolution) for the fine
 /// path's substepping across the whole window, so "approximately constant"
 /// would corrupt macro runs. `valid == false` claims nothing.
 struct ChargeSpanCert {

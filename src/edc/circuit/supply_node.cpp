@@ -12,167 +12,59 @@ namespace {
 constexpr Seconds kForever = std::numeric_limits<Seconds>::infinity();
 }  // namespace
 
-Volts DecaySolution::voltage_at(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  if (v0 <= 0.0) return 0.0;
-  Volts v = 0.0;
-  if (bleed > 0.0) {
-    // V(s) = (v0 - v_inf) e^{-s/tau} + v_inf with v_inf = -load*R.
-    const Seconds tau = bleed * capacitance;
-    const Volts v_inf = -load * bleed;
-    v = (v0 - v_inf) * std::exp(-elapsed / tau) + v_inf;
+AffineSolution::AffineSolution(Farads capacitance, Amps a, double b, double g,
+                               Volts v0)
+    : v0_(v0), b_(b) {
+  EDC_ASSERT(capacitance > 0.0 && g >= 0.0 && v0 >= 0.0);
+  EDC_ASSERT(g > 0.0 || b == 0.0);
+  if (g > 0.0) {
+    tau_ = capacitance / g;
+    beta_ = b / g;
+    alpha_ = (a - capacitance * beta_) / g;
+    c_ = v0 - alpha_;
   } else {
-    // Pure constant-current discharge: a straight ramp.
-    v = v0 - load * elapsed / capacitance;
+    // No conductance: a straight ramp, written as the affine part alone.
+    alpha_ = v0;
+    beta_ = a / capacitance;
   }
+}
+
+Volts AffineSolution::raw(Seconds t) const {
+  return alpha_ + beta_ * t + c_ * std::exp(-t / tau_);
+}
+
+Volts AffineSolution::voltage_at(Seconds elapsed) const {
+  EDC_ASSERT(elapsed >= 0.0);
+  const Volts v = raw(elapsed);
   return v > 0.0 ? v : 0.0;
 }
 
-Seconds DecaySolution::time_to_zero() const {
-  if (v0 <= 0.0) return 0.0;
-  if (load <= 0.0) return kForever;  // exponential tails never touch ground
-  if (bleed > 0.0) {
-    const Seconds tau = bleed * capacitance;
-    return tau * std::log1p(v0 / (load * bleed));
+Seconds AffineSolution::time_to_reach(Volts v, Seconds t_max) const {
+  if (v == v0_) return 0.0;
+  if (v < 0.0) return kForever;  // the node clamps at ground
+  if (b_ == 0.0) {
+    if (c_ == 0.0) {  // a straight ramp, or a constant
+      if (beta_ == 0.0) return kForever;
+      const Seconds t = (v - v0_) / beta_;
+      return t > 0.0 ? t : kForever;
+    }
+    // Monotone toward alpha: only levels strictly between v0 and alpha are
+    // ever reached, and there both differences share a sign, so the
+    // logarithm's argument is > 1.
+    const bool between = v0_ < alpha_ ? (v0_ < v && v < alpha_)
+                                      : (alpha_ < v && v < v0_);
+    return between ? tau_ * std::log((alpha_ - v0_) / (alpha_ - v)) : kForever;
   }
-  return capacitance * v0 / load;
-}
-
-Seconds DecaySolution::time_to_reach(Volts v) const {
-  EDC_ASSERT(v >= 0.0);
-  if (v >= v0) return 0.0;
-  if (v <= 0.0) return time_to_zero();
-  if (bleed > 0.0) {
-    // Invert V(s) = (v0 - v_inf) e^{-s/tau} + v_inf. The asymptote v_inf is
-    // -load*bleed <= 0, so any v in (0, v0) lies strictly above it and the
-    // logarithm is well-defined.
-    const Seconds tau = bleed * capacitance;
-    const Volts v_inf = -load * bleed;
-    return tau * std::log((v0 - v_inf) / (v - v_inf));
-  }
-  if (load <= 0.0) return kForever;  // no bleed, no load: V holds at v0
-  return capacitance * (v0 - v) / load;
-}
-
-Joules DecaySolution::load_energy(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  if (v0 <= 0.0 || load <= 0.0) return 0.0;
-  const Seconds s = std::min(elapsed, time_to_zero());
-  double v_integral = 0.0;  // integral of V over [0, s]
-  if (bleed > 0.0) {
-    const Seconds tau = bleed * capacitance;
-    const Volts v_inf = -load * bleed;
-    v_integral = (v0 - v_inf) * tau * -std::expm1(-s / tau) + v_inf * s;
-  } else {
-    v_integral = v0 * s - load * s * s / (2.0 * capacitance);
-  }
-  return std::max(load * v_integral, 0.0);
-}
-
-Volts ChargeSolution::asymptote() const {
-  const double conductance = 1.0 / r_series + (bleed > 0.0 ? 1.0 / bleed : 0.0);
-  return (v_source / r_series - load) / conductance;
-}
-
-Seconds ChargeSolution::tau() const {
-  const double conductance = 1.0 / r_series + (bleed > 0.0 ? 1.0 / bleed : 0.0);
-  return capacitance / conductance;
-}
-
-Volts ChargeSolution::voltage_at(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  const Volts v_inf = asymptote();
-  const Volts v = v_inf + (v0 - v_inf) * std::exp(-elapsed / tau());
-  return v > 0.0 ? v : 0.0;
-}
-
-Seconds ChargeSolution::time_to_reach(Volts v) const {
-  const Volts v_inf = asymptote();
-  if (v0 < v_inf) {
-    if (v <= v0) return 0.0;
-    if (v >= v_inf) return kForever;
-  } else if (v0 > v_inf) {
-    if (v >= v0) return 0.0;
-    if (v <= v_inf) return kForever;
-  } else {
-    return v == v0 ? 0.0 : kForever;
-  }
-  // Both differences share a sign, so the logarithm's argument is > 1.
-  return tau() * std::log((v_inf - v0) / (v_inf - v));
-}
-
-Joules ChargeSolution::load_energy(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  if (load <= 0.0) return 0.0;
-  const Volts v_inf = asymptote();
-  const Seconds time_constant = tau();
-  const double v_integral =
-      v_inf * elapsed +
-      (v0 - v_inf) * time_constant * -std::expm1(-elapsed / time_constant);
-  return std::max(load * v_integral, 0.0);
-}
-
-Joules ChargeSolution::bleed_energy(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  if (bleed <= 0.0) return 0.0;
-  const Volts v_inf = asymptote();
-  const Volts dv = v0 - v_inf;
-  const Seconds time_constant = tau();
-  // integral of (v_inf + dv e^{-s/tau})^2 over [0, elapsed].
-  const double sq_integral =
-      v_inf * v_inf * elapsed +
-      2.0 * v_inf * dv * time_constant * -std::expm1(-elapsed / time_constant) +
-      dv * dv * 0.5 * time_constant * -std::expm1(-2.0 * elapsed / time_constant);
-  return std::max(sq_integral / bleed, 0.0);
-}
-
-namespace {
-
-double node_conductance(Ohms r_series, Ohms bleed) {
-  return 1.0 / r_series + (bleed > 0.0 ? 1.0 / bleed : 0.0);
-}
-
-}  // namespace
-
-Seconds LinearRampSolution::tau() const {
-  return capacitance / node_conductance(r_series, bleed);
-}
-
-double LinearRampSolution::drift() const {
-  return slope / (r_series * node_conductance(r_series, bleed));
-}
-
-Volts LinearRampSolution::offset() const {
-  const double g = node_conductance(r_series, bleed);
-  return (v_source0 / r_series - load - capacitance * drift()) / g;
-}
-
-Volts LinearRampSolution::voltage_at(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  const Volts a = offset();
-  const Volts v =
-      a + drift() * elapsed + (v0 - a) * std::exp(-elapsed / tau());
-  return v > 0.0 ? v : 0.0;
-}
-
-Seconds LinearRampSolution::time_to_reach(Volts v, Seconds t_max) const {
-  EDC_ASSERT(t_max >= 0.0);
-  const Volts a = offset();
-  const double b = drift();
-  const Volts c = v0 - a;
-  const Seconds time_constant = tau();
-  const auto raw = [&](Seconds t) {
-    return a + b * t + c * std::exp(-t / time_constant);
-  };
-  // V'(t) = b - (c/tau) e^{-t/tau} is monotone, so the trajectory has at
-  // most one interior extremum, at t* = -tau ln(b*tau/c) when the log
+  EDC_ASSERT(t_max >= 0.0 && std::isfinite(t_max));
+  // V'(t) = beta - (c/tau) e^{-t/tau} is monotone, so the trajectory has at
+  // most one interior extremum, at t* = -tau ln(beta*tau/c) when the log
   // argument lies in (0, 1]. Split the window there into monotone pieces.
   Seconds pieces[3] = {0.0, t_max, t_max};
   int n_pieces = 1;
-  if (c != 0.0 && b != 0.0) {
-    const double arg = b * time_constant / c;
+  if (c_ != 0.0) {
+    const double arg = beta_ * tau_ / c_;
     if (arg > 0.0 && arg <= 1.0) {
-      const Seconds t_star = -time_constant * std::log(arg);
+      const Seconds t_star = -tau_ * std::log(arg);
       if (t_star > 0.0 && t_star < t_max) {
         pieces[1] = t_star;
         n_pieces = 2;
@@ -189,14 +81,13 @@ Seconds LinearRampSolution::time_to_reach(Volts v, Seconds t_max) const {
     const bool inside = rising ? (v_lo < v && v <= v_hi)
                                : (v_hi <= v && v < v_lo);
     if (!inside) continue;
-    // Safeguarded bisection on the monotone piece. Returns the *lower*
-    // bracket, so the reported instant is at or just before the true
-    // crossing — the conservative side for every planner (a span capped at
-    // ceil(time/dt)-1 then provably ends before the crossing step no
-    // matter how loose the bracket is). That soundness-by-direction is
-    // what lets the loop stop at ~1e-6 of the piece width instead of
-    // grinding to one ulp: each iteration costs an exp(), and this is the
-    // hot inner call of the ramp-span crossing planners.
+    // Safeguarded bisection on the monotone piece. Returning the lower
+    // bracket keeps the reported instant at or before the true crossing, so
+    // a span capped at ceil(time/dt)-1 provably ends before the crossing
+    // step however loose the bracket is. That soundness-by-direction lets
+    // the loop stop at ~1e-6 of the piece width instead of grinding to one
+    // ulp: each iteration costs an exp(), and this is the hot inner call
+    // of chord-span crossing planning.
     const Seconds width_tol = (hi - lo) * 9.5e-7 + 1e-15;
     for (int i = 0; i < 64 && hi - lo > width_tol; ++i) {
       const Seconds mid = 0.5 * (lo + hi);
@@ -213,102 +104,70 @@ Seconds LinearRampSolution::time_to_reach(Volts v, Seconds t_max) const {
   return kForever;
 }
 
-Volts LinearRampSolution::min_voltage(Seconds elapsed) const {
+AffineSolution::Range AffineSolution::deviation_range(Volts line0, double slope,
+                                                      Seconds elapsed) const {
   EDC_ASSERT(elapsed >= 0.0);
-  const Volts a = offset();
-  const double b = drift();
-  const Volts c = v0 - a;
-  const Seconds time_constant = tau();
-  const auto raw = [&](Seconds t) {
-    return a + b * t + c * std::exp(-t / time_constant);
-  };
-  Volts lo = std::min(raw(0.0), raw(elapsed));
-  if (c != 0.0 && b != 0.0) {
-    const double arg = b * time_constant / c;
+  // D(t) = V(t) - line(t) = (alpha - line0) + (beta - slope) t + c e^{-t/tau}
+  // has a monotone derivative, so its extrema sit at the endpoints or at
+  // the single critical point e^{-t/tau} = (beta - slope) tau / c.
+  const Volts d0 = v0_ - line0;
+  const Volts d1 = raw(elapsed) - (line0 + slope * elapsed);
+  Range range{std::min(d0, d1), std::max(d0, d1)};
+  if (c_ != 0.0 && beta_ != slope) {
+    const double arg = (beta_ - slope) * tau_ / c_;
     if (arg > 0.0 && arg <= 1.0) {
-      const Seconds t_star = -time_constant * std::log(arg);
-      if (t_star > 0.0 && t_star < elapsed) lo = std::min(lo, raw(t_star));
+      const Seconds t_crit = -tau_ * std::log(arg);
+      if (t_crit > 0.0 && t_crit < elapsed) {
+        const Volts d = raw(t_crit) - (line0 + slope * t_crit);
+        range.lo = std::min(range.lo, d);
+        range.hi = std::max(range.hi, d);
+      }
     }
   }
-  return lo;
+  return range;
 }
 
-Volts LinearRampSolution::max_voltage(Seconds elapsed) const {
+Volts AffineSolution::min_voltage(Seconds elapsed) const {
+  return deviation_range(0.0, 0.0, elapsed).lo;
+}
+
+Volts AffineSolution::max_voltage(Seconds elapsed) const {
+  return deviation_range(0.0, 0.0, elapsed).hi;
+}
+
+Volts AffineSolution::min_margin_below(Volts line0, double slope,
+                                       Seconds elapsed) const {
+  return -deviation_range(line0, slope, elapsed).hi;
+}
+
+Seconds AffineSolution::ground_time() const {
+  if (b_ != 0.0) return kForever;
+  if (c_ == 0.0) return beta_ < 0.0 ? -v0_ / beta_ : kForever;
+  // Exponential toward alpha: ground is reached only when alpha < 0.
+  return alpha_ < 0.0 ? tau_ * std::log1p(-v0_ / alpha_) : kForever;
+}
+
+double AffineSolution::integral(Seconds elapsed) const {
   EDC_ASSERT(elapsed >= 0.0);
-  const Volts a = offset();
-  const double b = drift();
-  const Volts c = v0 - a;
-  const Seconds time_constant = tau();
-  const auto raw = [&](Seconds t) {
-    return a + b * t + c * std::exp(-t / time_constant);
-  };
-  Volts hi = std::max(raw(0.0), raw(elapsed));
-  if (c != 0.0 && b != 0.0) {
-    const double arg = b * time_constant / c;
-    if (arg > 0.0 && arg <= 1.0) {
-      const Seconds t_star = -time_constant * std::log(arg);
-      if (t_star > 0.0 && t_star < elapsed) hi = std::max(hi, raw(t_star));
-    }
+  const Seconds s = std::min(elapsed, ground_time());
+  const double transient = c_ == 0.0 ? 0.0 : c_ * tau_ * -std::expm1(-s / tau_);
+  return alpha_ * s + 0.5 * beta_ * s * s + transient;
+}
+
+double AffineSolution::square_integral(Seconds elapsed) const {
+  EDC_ASSERT(elapsed >= 0.0);
+  const Seconds s = std::min(elapsed, ground_time());
+  // integral of (alpha + beta t)^2, then the cross and transient terms.
+  double sq = alpha_ * alpha_ * s + alpha_ * beta_ * s * s +
+              beta_ * beta_ * s * s * s / 3.0;
+  if (c_ != 0.0) {
+    const double e1 = -std::expm1(-s / tau_);        // 1 - e^{-s/tau}
+    const double e2 = -std::expm1(-2.0 * s / tau_);  // 1 - e^{-2s/tau}
+    // integral of t e^{-t/tau} over [0, s].
+    const double t_exp = tau_ * tau_ * e1 - tau_ * s * std::exp(-s / tau_);
+    sq += 2.0 * c_ * (alpha_ * tau_ * e1 + beta_ * t_exp) + c_ * c_ * 0.5 * tau_ * e2;
   }
-  return hi;
-}
-
-Volts LinearRampSolution::min_source_margin(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  const Volts a = offset();
-  const double b = drift();
-  const Volts c = v0 - a;
-  const Seconds time_constant = tau();
-  // D(t) = Vs(t) - V(t) = (v_source0 - a) + (slope - b) t - c e^{-t/tau}.
-  // D'(t) = (slope - b) + (c/tau) e^{-t/tau} is monotone, so the margin's
-  // minimum sits at an endpoint or the single critical point.
-  const auto margin = [&](Seconds t) {
-    return (v_source0 - a) + (slope - b) * t -
-           c * std::exp(-t / time_constant);
-  };
-  Volts lo = std::min(margin(0.0), margin(elapsed));
-  if (c != 0.0 && slope != b) {
-    const double arg = (b - slope) * time_constant / c;
-    if (arg > 0.0 && arg <= 1.0) {
-      const Seconds t_crit = -time_constant * std::log(arg);
-      if (t_crit > 0.0 && t_crit < elapsed) lo = std::min(lo, margin(t_crit));
-    }
-  }
-  return lo;
-}
-
-Joules LinearRampSolution::load_energy(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  if (load <= 0.0) return 0.0;
-  const Volts a = offset();
-  const double b = drift();
-  const Volts c = v0 - a;
-  const Seconds time_constant = tau();
-  const double v_integral =
-      a * elapsed + 0.5 * b * elapsed * elapsed +
-      c * time_constant * -std::expm1(-elapsed / time_constant);
-  return std::max(load * v_integral, 0.0);
-}
-
-Joules LinearRampSolution::bleed_energy(Seconds elapsed) const {
-  EDC_ASSERT(elapsed >= 0.0);
-  if (bleed <= 0.0) return 0.0;
-  const Volts a = offset();
-  const double b = drift();
-  const Volts c = v0 - a;
-  const Seconds time_constant = tau();
-  const double s = elapsed;
-  const double e1 = -std::expm1(-s / time_constant);        // 1 - e^{-s/tau}
-  const double e2 = -std::expm1(-2.0 * s / time_constant);  // 1 - e^{-2s/tau}
-  // integral of t e^{-t/tau} over [0, s].
-  const double t_exp = time_constant * time_constant * e1 -
-                       time_constant * s * std::exp(-s / time_constant);
-  // integral of (a + b t + c e^{-t/tau})^2 over [0, s].
-  const double sq_integral = a * a * s + a * b * s * s +
-                             b * b * s * s * s / 3.0 +
-                             2.0 * c * (a * time_constant * e1 + b * t_exp) +
-                             c * c * 0.5 * time_constant * e2;
-  return std::max(sq_integral / bleed, 0.0);
+  return sq;
 }
 
 SupplyNode::SupplyNode(Farads capacitance, Volts v_initial)
@@ -422,28 +281,21 @@ void SupplyNode::set_voltage(Volts v) {
   voltage_ = v;
 }
 
-DecaySolution SupplyNode::decay_from(Volts v0, Amps load) const {
-  EDC_CHECK(v0 >= 0.0, "decay start voltage must be non-negative");
+AffineSolution SupplyNode::affine_from(Volts v0, Amps load) const {
+  EDC_CHECK(v0 >= 0.0, "start voltage must be non-negative");
   EDC_CHECK(load >= 0.0, "load current must be non-negative");
-  return DecaySolution{capacitance_, bleed_, load, v0};
+  return AffineSolution(capacitance_, -load, 0.0,
+                        bleed_ > 0.0 ? 1.0 / bleed_ : 0.0, v0);
 }
 
-ChargeSolution SupplyNode::charge_from(Volts v0, Volts v_source, Ohms r_series,
-                                       Amps load) const {
-  EDC_CHECK(v0 >= 0.0, "charge start voltage must be non-negative");
+AffineSolution SupplyNode::affine_from(Volts v0, Amps load, Volts v_source0,
+                                       double slope, Ohms r_series) const {
+  EDC_CHECK(v0 >= 0.0, "start voltage must be non-negative");
   EDC_CHECK(r_series > 0.0, "series resistance must be positive");
   EDC_CHECK(load >= 0.0, "load current must be non-negative");
-  return ChargeSolution{capacitance_, v_source, r_series, bleed_, load, v0};
-}
-
-LinearRampSolution SupplyNode::ramp_from(Volts v0, Volts v_source0,
-                                         double slope, Ohms r_series,
-                                         Amps load) const {
-  EDC_CHECK(v0 >= 0.0, "ramp start voltage must be non-negative");
-  EDC_CHECK(r_series > 0.0, "series resistance must be positive");
-  EDC_CHECK(load >= 0.0, "load current must be non-negative");
-  return LinearRampSolution{capacitance_, v_source0, slope,
-                            r_series,     bleed_,    load, v0};
+  const double g_bleed = bleed_ > 0.0 ? 1.0 / bleed_ : 0.0;
+  return AffineSolution(capacitance_, v_source0 / r_series - load,
+                        slope / r_series, 1.0 / r_series + g_bleed, v0);
 }
 
 }  // namespace edc::circuit

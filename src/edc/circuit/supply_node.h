@@ -8,172 +8,106 @@
 // substep keeps R_s*C >> dt_sub for every modelled source.
 #pragma once
 
+#include <limits>
+
 #include "edc/circuit/supply_driver.h"
 #include "edc/common/units.h"
 
 namespace edc::circuit {
 
-/// Closed-form solution of the unpowered node decay
+/// Closed-form solution of the linear node ODE behind every quiescent span,
 ///
-///   C dV/dt = -V/R_bleed - I_load,     V(0) = v0,  V clamped at ground,
+///   C dV/dt = a + b*t - G*V,     V(0) = v0,  V clamped at ground,
 ///
-/// i.e. the quiescent spans of Fig 7: no injected current, a parallel bleed
-/// resistance, and a constant load current (the off-state MCU leakage, or
-/// i_sleep while hibernating with live comparators). Produced by
-/// SupplyNode::decay_from and consumed by sim::QuiescentEngine, which books
-/// the exact continuum energy split instead of substepping and plans event
-/// horizons from the inverse solve time_to_reach().
-struct DecaySolution {
-  Farads capacitance = 0.0;
-  Ohms bleed = 0.0;  ///< 0 = no bleed path
-  Amps load = 0.0;   ///< constant load current while V > 0
-  Volts v0 = 0.0;
-
-  /// Node voltage after `elapsed` seconds (clamped at 0).
-  [[nodiscard]] Volts voltage_at(Seconds elapsed) const;
-
-  /// When the trajectory reaches exactly 0 V (+infinity when it never
-  /// does, e.g. a pure exponential bleed with no constant load).
-  [[nodiscard]] Seconds time_to_zero() const;
-
-  /// Inverse solve: the first instant the (monotonically decaying)
-  /// trajectory reaches `v`, i.e. the exact comparator-crossing time of a
-  /// falling threshold. 0 when v >= v0; +infinity when the decay never
-  /// gets there (e.g. an exponential tail asked for a voltage at or below
-  /// its asymptote). Inverse of voltage_at up to floating-point rounding.
-  [[nodiscard]] Seconds time_to_reach(Volts v) const;
-
-  /// Energy the constant load drew over [0, elapsed]: load * integral of V
-  /// (the integral stops where V hits ground — a load draws nothing from a
-  /// dead node). The bleed's share of the decay is the remainder
-  /// 0.5*C*(v0^2 - V(elapsed)^2) - load_energy, so booking it that way
-  /// closes the energy ledger exactly.
-  [[nodiscard]] Joules load_energy(Seconds elapsed) const;
-};
-
-/// Closed-form solution of the *driven* node: a Thevenin source of constant
-/// (rectified) open-circuit voltage conducting through its series
-/// resistance against the bleed and a constant load current,
+/// which covers all three regimes of Fig 7/8 (see SupplyNode::affine_from):
+///   * a bled decay with the MCU off or asleep (a = -I_load, b = 0,
+///     G = 1/R_bleed, which is 0 without a bleed path);
+///   * a rectified RC charge through a constant Thevenin source
+///     (a = Vs/R_s - I_load, b = 0, G = 1/R_s + 1/R_bleed);
+///   * a charge along a certified affine source chord Vs0 + m*t (as above
+///     plus b = m/R_s): a sine arc, a wind-gust tail, one trace cell.
+/// With G > 0 and tau = C/G the trajectory is the affine particular
+/// solution plus a decaying transient,
 ///
-///   C dV/dt = (v_source - V)/r_series - V/R_bleed - I_load,   V(0) = v0,
+///   V(t) = alpha + beta*t + (v0 - alpha) e^{-t/tau},
+///   beta = b/G,  alpha = (a - C*beta)/G,
 ///
-/// i.e. the charging ramps of Fig 7: the supply is on, the MCU is off (or
-/// parked in a comparator-watched low-power state), and the node climbs the
-/// RC exponential toward the conduction equilibrium. Produced by
-/// SupplyNode::charge_from for the window a SupplyDriver::plan_charge_span
-/// certificate covers, and consumed by sim::QuiescentEngine, which books
-/// the exact continuum energy split and plans event horizons from the
-/// inverse solve time_to_reach() — the charging mirror of DecaySolution.
+/// and with G = 0 (an unbled decay; b is then 0) the straight ramp
+/// v0 + a*t/C. V'(t) is monotone, so the trajectory has at most one
+/// interior extremum; with b = 0 it is monotone toward alpha and every
+/// inverse is a logarithm. sim::QuiescentEngine books a span's continuum
+/// energy split from integral()/square_integral() and plans its event
+/// horizon from the inverse time_to_reach().
 ///
-/// The linear ODE is monotone toward the asymptote
-/// v_inf = (v_source/r_series - I_load) / G with G = 1/r_series + 1/R_bleed
-/// and time constant tau = C/G. Started below v_source it stays below
-/// (v_inf < v_source whenever the bleed or load draw anything, and is
-/// approached from below otherwise), so the rectifier keeps conducting and
-/// the closed form stays valid over the whole certified window. The engine
-/// only plans *rising* trajectories (v0 < v_inf); the struct itself is
-/// direction-agnostic.
-struct ChargeSolution {
-  Farads capacitance = 0.0;
-  Volts v_source = 0.0;  ///< constant rectified open-circuit voltage
-  Ohms r_series = 0.0;   ///< source series resistance (> 0)
-  Ohms bleed = 0.0;      ///< 0 = no bleed path
-  Amps load = 0.0;       ///< constant load current
-  Volts v0 = 0.0;
+/// Ground clamp: with b = 0 a trajectory that reaches 0 V stays there (its
+/// drive is then a <= 0), and both integrals stop at that instant — a load
+/// draws nothing from a dead node. With b != 0 the clamp is not modelled;
+/// callers certify min_voltage() > 0 over the span instead.
+class AffineSolution {
+ public:
+  /// The zero trajectory (V = 0 throughout).
+  AffineSolution() = default;
+  /// Requires capacitance > 0, g >= 0, v0 >= 0, and b == 0 when g == 0.
+  AffineSolution(Farads capacitance, Amps a, double b, double g, Volts v0);
 
-  /// The conduction equilibrium v_inf the trajectory approaches.
-  [[nodiscard]] Volts asymptote() const;
+  [[nodiscard]] Volts v0() const noexcept { return v0_; }
 
-  /// The RC time constant C / (1/r_series + 1/bleed).
-  [[nodiscard]] Seconds tau() const;
+  /// Whether the trajectory is monotone (b == 0): each level is then
+  /// crossed at most once and every inverse is closed-form.
+  [[nodiscard]] bool monotone() const noexcept { return b_ == 0.0; }
 
   /// Node voltage after `elapsed` seconds (clamped at ground).
   [[nodiscard]] Volts voltage_at(Seconds elapsed) const;
 
-  /// Inverse solve: the first instant the monotone trajectory reaches `v` —
-  /// the exact comparator/power-on crossing time of a rising threshold. 0
-  /// when the start already satisfies it (v <= v0 on a rise, v >= v0 on a
-  /// sag); +infinity when `v` lies beyond the asymptote. Inverse of
-  /// voltage_at up to floating-point rounding.
-  [[nodiscard]] Seconds time_to_reach(Volts v) const;
+  /// First-passage time: the first instant the trajectory reaches `v` —
+  /// 0 when v == v0, +infinity when it never does (a level behind the
+  /// direction of travel, beyond the asymptote, or below ground). With
+  /// b == 0 this is the closed-form logarithm (or the ramp's quotient),
+  /// exact at any horizon; with b != 0 the window [0, t_max] is split at
+  /// the interior extremum and each monotone piece bisected, returning the
+  /// lower bracket (at or just before the true crossing, the conservative
+  /// side for every planner), and a crossing after t_max reads +infinity.
+  [[nodiscard]] Seconds time_to_reach(
+      Volts v, Seconds t_max = std::numeric_limits<Seconds>::infinity()) const;
 
-  /// Energy the constant load drew over [0, elapsed]: load * integral of V.
-  [[nodiscard]] Joules load_energy(Seconds elapsed) const;
-
-  /// Energy the bleed dissipated over [0, elapsed]: integral of V^2/R_b.
-  /// Booking harvested = stored-energy delta + load_energy + bleed_energy
-  /// closes the span's ledger exactly in the continuum.
-  [[nodiscard]] Joules bleed_energy(Seconds elapsed) const;
-};
-
-/// Closed-form solution of the node driven by an *affine* Thevenin source:
-/// the rectified open-circuit voltage ramps linearly over the window,
-///
-///   C dV/dt = (v_source0 + slope*t - V)/r_series - V/R_bleed - I_load,
-///
-/// i.e. a certified piecewise-linear source chord (a sine arc, a wind-gust
-/// tail, one trace cell) instead of ChargeSolution's constant window. With
-/// G = 1/r_series + 1/R_bleed and tau = C/G the trajectory is
-///
-///   V(t) = a + b*t + (v0 - a) e^{-t/tau},
-///   b = slope / (r_series * G),   a = (v_source0/r_series - I_load - C*b)/G,
-///
-/// the affine particular solution plus a decaying transient. V'(t) is
-/// monotone (single interior extremum at most), so the inverse solve walks
-/// at most two monotone pieces with safeguarded bisection. Produced by
-/// SupplyNode::ramp_from for the window a SupplyDriver::plan_ramp_span
-/// certificate covers, and consumed by sim::QuiescentEngine, which books
-/// the continuum energy split exactly like the constant-window spans.
-struct LinearRampSolution {
-  Farads capacitance = 0.0;
-  Volts v_source0 = 0.0;  ///< rectified open-circuit voltage at span start
-  double slope = 0.0;     ///< source ramp rate dVs/dt over the window [V/s]
-  Ohms r_series = 0.0;    ///< source series resistance (> 0)
-  Ohms bleed = 0.0;       ///< 0 = no bleed path
-  Amps load = 0.0;        ///< constant load current
-  Volts v0 = 0.0;
-
-  /// The RC time constant C / (1/r_series + 1/bleed).
-  [[nodiscard]] Seconds tau() const;
-
-  /// Slope b of the affine particular solution a + b*t.
-  [[nodiscard]] double drift() const;
-
-  /// Offset a of the affine particular solution a + b*t.
-  [[nodiscard]] Volts offset() const;
-
-  /// Node voltage after `elapsed` seconds (clamped at ground; the engine
-  /// certifies min_voltage > 0 before committing, so the clamp is inert
-  /// over any planned span).
-  [[nodiscard]] Volts voltage_at(Seconds elapsed) const;
-
-  /// Inverse solve over [0, t_max]: the first instant the trajectory
-  /// reaches `v`, or +infinity when it never does within the window. The
-  /// trajectory is not monotone in general (the transient can overshoot
-  /// the ramp), so the solve brackets the at-most-one interior extremum
-  /// and bisects each monotone piece.
-  [[nodiscard]] Seconds time_to_reach(Volts v, Seconds t_max) const;
-
-  /// Minimum of the (unclamped) trajectory over [0, elapsed]: ground-clamp
-  /// certification — a span is only valid while this stays above the node
-  /// error envelope.
+  /// Extrema of the (unclamped) trajectory over [0, elapsed].
   [[nodiscard]] Volts min_voltage(Seconds elapsed) const;
-
-  /// Maximum of the (unclamped) trajectory over [0, elapsed].
   [[nodiscard]] Volts max_voltage(Seconds elapsed) const;
 
-  /// Minimum of the conduction margin Vs(t) - V(t) over [0, elapsed]:
-  /// rectifier certification — the diode provably keeps conducting while
-  /// this stays above the chord + node error envelopes.
-  [[nodiscard]] Volts min_source_margin(Seconds elapsed) const;
+  /// Minimum over [0, elapsed] of the margin by which the line
+  /// `line0 + slope*t` sits above the trajectory — with the source chord
+  /// as the line, the rectifier's conduction margin.
+  [[nodiscard]] Volts min_margin_below(Volts line0, double slope,
+                                       Seconds elapsed) const;
 
-  /// Energy the constant load drew over [0, elapsed]: load * integral of V.
-  [[nodiscard]] Joules load_energy(Seconds elapsed) const;
+  /// Integral of V over [0, elapsed] (stopping at ground, see above): a
+  /// constant load I draws I * integral(elapsed).
+  [[nodiscard]] double integral(Seconds elapsed) const;
 
-  /// Energy the bleed dissipated over [0, elapsed]: integral of V^2/R_b.
-  /// Booking harvested = stored-energy delta + load_energy + bleed_energy
-  /// closes the span's ledger exactly in the continuum.
-  [[nodiscard]] Joules bleed_energy(Seconds elapsed) const;
+  /// Integral of V^2 over [0, elapsed] (stopping at ground): a bleed R_b
+  /// dissipates square_integral(elapsed) / R_b.
+  [[nodiscard]] double square_integral(Seconds elapsed) const;
+
+ private:
+  struct Range {
+    double lo, hi;
+  };
+  /// V(t) without the ground clamp.
+  [[nodiscard]] Volts raw(Seconds t) const;
+  /// Extrema of V(t) - (line0 + slope*t) over [0, elapsed]: endpoints plus
+  /// the single interior critical point, when there is one.
+  [[nodiscard]] Range deviation_range(Volts line0, double slope,
+                                      Seconds elapsed) const;
+  /// Where the integrals stop: the instant a b == 0 trajectory reaches
+  /// ground on its way down, +infinity otherwise.
+  [[nodiscard]] Seconds ground_time() const;
+
+  Volts v0_ = 0.0;
+  double b_ = 0.0;
+  Volts alpha_ = 0.0;  ///< affine offset (v0 when G == 0)
+  double beta_ = 0.0;  ///< affine slope [V/s]
+  Volts c_ = 0.0;      ///< transient amplitude v0 - alpha (0 when G == 0)
+  Seconds tau_ = std::numeric_limits<Seconds>::infinity();
 };
 
 class SupplyNode {
@@ -244,20 +178,18 @@ class SupplyNode {
   /// Forces the node voltage (tests; initial conditions).
   void set_voltage(Volts v);
 
-  /// The analytic decay this node follows from `v0` with no injected
-  /// current and a constant `load` draw (see DecaySolution).
-  [[nodiscard]] DecaySolution decay_from(Volts v0, Amps load) const;
+  /// The analytic trajectory this node follows from `v0` under a constant
+  /// `load` draw with no injected current: the unpowered decay through the
+  /// bleed (see AffineSolution).
+  [[nodiscard]] AffineSolution affine_from(Volts v0, Amps load) const;
 
-  /// The analytic charge this node follows from `v0` while a constant
-  /// rectified Thevenin source conducts into it (see ChargeSolution).
-  [[nodiscard]] ChargeSolution charge_from(Volts v0, Volts v_source,
-                                           Ohms r_series, Amps load) const;
-
-  /// The analytic trajectory this node follows from `v0` while an *affine*
-  /// rectified Thevenin source conducts into it (see LinearRampSolution).
-  [[nodiscard]] LinearRampSolution ramp_from(Volts v0, Volts v_source0,
-                                             double slope, Ohms r_series,
-                                             Amps load) const;
+  /// The analytic trajectory this node follows from `v0` under a constant
+  /// `load` draw while a rectified Thevenin source whose open-circuit
+  /// voltage ramps v_source0 + slope*t conducts into it through `r_series`
+  /// (slope 0: a constant source). The closed form assumes the rectifier
+  /// conducts throughout; callers certify that via min_margin_below().
+  [[nodiscard]] AffineSolution affine_from(Volts v0, Amps load, Volts v_source0,
+                                           double slope, Ohms r_series) const;
 
  private:
   Farads capacitance_;

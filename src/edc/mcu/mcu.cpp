@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "edc/circuit/supply_node.h"
 #include "edc/common/check.h"
 
 namespace edc::mcu {
@@ -335,64 +334,18 @@ void Mcu::set_frequency(Hertz f) {
   frequency_ = f;
 }
 
-Mcu::WakeCrossing Mcu::plan_wake_crossing(const circuit::DecaySolution& decay) const {
-  WakeCrossing crossing;
-  crossing.time = comparators_.plan_falling_crossing(decay, &crossing.trip);
-  // supply_update fires the brown-out when the end-of-step voltage drops
-  // strictly below v_min; the analytic instant V == v_min bounds that from
-  // below, so re-entering fine stepping there can only be early, never
-  // late.
-  if (state_ != McuState::off) {
-    const Seconds loss = decay.time_to_reach(params_.power.v_min);
-    if (loss < crossing.time) {
-      crossing.time = loss;
-      crossing.trip = params_.power.v_min;
-    }
-  }
-  return crossing;
-}
-
-Mcu::WakeCrossing Mcu::plan_charge_crossing(
-    const circuit::ChargeSolution& charge) const {
-  WakeCrossing crossing;
+circuit::Crossing Mcu::plan_crossing(const circuit::AffineSolution& trajectory,
+                                     Volts pad, Seconds t_max) const {
+  const McuPowerModel& p = params_.power;
   if (state_ == McuState::off) {
-    // supply_update boots when the end-of-step voltage reaches v_on; the
-    // analytic instant V == v_on bounds that step from below, so
-    // re-entering fine stepping there can only be early, never late.
-    crossing.time = charge.time_to_reach(params_.power.v_on);
-    crossing.trip = params_.power.v_on;
-    return crossing;
+    return {circuit::first_fire(trajectory, p.v_on, circuit::Trigger::at_or_above, pad,
+                                t_max),
+            p.v_on};
   }
-  crossing.time = comparators_.plan_rising_crossing(charge, &crossing.trip);
-  return crossing;
-}
-
-Mcu::WakeCrossing Mcu::plan_ramp_crossing(const circuit::LinearRampSolution& ramp,
-                                          Volts err_pad, Seconds t_max) const {
-  WakeCrossing crossing;
-  if (state_ == McuState::off) {
-    // supply_update boots when the end-of-step voltage reaches v_on
-    // (level-triggered; the comparator bank is only reset on that step, so
-    // the power-on release is the off state's only watcher). The first
-    // instant the modeled trajectory could carry the true voltage to v_on
-    // is its entry into the threshold's err_pad band from below.
-    crossing.trip = params_.power.v_on;
-    crossing.time = ramp.v0 >= crossing.trip - err_pad
-                        ? 0.0
-                        : ramp.time_to_reach(crossing.trip - err_pad, t_max);
-    return crossing;
-  }
-  crossing.time = comparators_.plan_ramp_crossing(ramp, err_pad, t_max, &crossing.trip);
-  // The v_min brown-out is level-triggered on the end-of-step voltage; on a
-  // non-monotone ramp it too is bounded from below by band entry.
-  const Volts v_min = params_.power.v_min;
-  const Seconds loss = ramp.v0 <= v_min + err_pad
-                           ? 0.0
-                           : ramp.time_to_reach(v_min + err_pad, t_max);
-  if (loss < crossing.time) {
-    crossing.time = loss;
-    crossing.trip = v_min;
-  }
+  circuit::Crossing crossing = comparators_.plan_crossing(trajectory, pad, t_max);
+  const Seconds loss =
+      circuit::first_fire(trajectory, p.v_min, circuit::Trigger::below, pad, t_max);
+  if (loss < crossing.time) crossing = {loss, p.v_min};
   return crossing;
 }
 

@@ -145,46 +145,20 @@ class Mcu final : public circuit::Load {
   }
 
   /// Span planning for the quiescent engine: the earliest instant anything
-  /// discrete can happen while the supply follows `decay` from decay.v0
-  /// with this MCU powered but quiescent — the first analytic comparator
-  /// trip (ComparatorBank::plan_falling_crossing) or the v_min brown-out
-  /// crossing, whichever comes first.
-  struct WakeCrossing {
-    Seconds time = 0.0;  ///< +infinity when the decay triggers nothing
-    Volts trip = 0.0;    ///< the governing threshold (valid when time is finite)
-  };
-  [[nodiscard]] WakeCrossing plan_wake_crossing(
-      const circuit::DecaySolution& decay) const;
-
-  /// The charging mirror of plan_wake_crossing: the earliest instant
-  /// anything discrete can happen while the supply follows the monotone
-  /// rising `charge` trajectory from charge.v0. While the MCU is off the
-  /// only watcher is the power-on-reset release at v_on (supply_update
-  /// boots when the end-of-step voltage reaches it; the comparator bank is
-  /// only reset on that step); while powered-but-quiescent it is the first
-  /// rising comparator trip (ComparatorBank::plan_rising_crossing — the
-  /// v_min brown-out cannot fire on a rise).
-  [[nodiscard]] WakeCrossing plan_charge_crossing(
-      const circuit::ChargeSolution& charge) const;
-
-  /// The interval-certified mirror for *non-monotone* linear-ramp
-  /// trajectories: the earliest instant anything discrete could happen
-  /// while the supply follows `ramp` from ramp.v0, given that the true
-  /// node voltage may deviate from the model by up to `err_pad` (the ramp
-  /// certificate's envelope). Every armed comparator trip and both
-  /// level-triggered power watchers (the v_on power-on release while off,
-  /// the v_min brown-out while powered) are bounded from below by the
-  /// first instant the model enters the watcher's +/- err_pad band
-  /// (ComparatorBank::plan_ramp_crossing's rule). Returns 0 when some
-  /// watcher's band already contains the start voltage — no span is then
-  /// certifiable; +infinity when nothing can fire within [0, t_max].
-  [[nodiscard]] WakeCrossing plan_ramp_crossing(
-      const circuit::LinearRampSolution& ramp, Volts err_pad,
-      Seconds t_max) const;
+  /// discrete could happen while the supply follows `trajectory` with the
+  /// true voltage within `pad` of it (circuit::first_fire's rule, +infinity
+  /// when nothing can fire). While the MCU is off the only watcher is the
+  /// level-triggered power-on release at v_on (supply_update boots when
+  /// the end-of-step voltage reaches it; the comparator bank is only reset
+  /// on that step). While it is powered they are the armed comparators
+  /// (ComparatorBank::plan_crossing) and the level-triggered v_min
+  /// brown-out.
+  [[nodiscard]] circuit::Crossing plan_crossing(
+      const circuit::AffineSolution& trajectory, Volts pad, Seconds t_max) const;
 
   /// Whether the attached policy certifies the *current* state as woken
   /// only by comparators (PolicyHooks::wakes_only_by_comparator) — the
-  /// license plan_wake_crossing()'s result needs to be exhaustive.
+  /// license plan_crossing()'s result needs to be exhaustive.
   [[nodiscard]] bool wake_is_comparator_driven() const {
     return policy_->wakes_only_by_comparator(state_);
   }

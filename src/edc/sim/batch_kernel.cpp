@@ -65,7 +65,7 @@ void BatchKernel::book_span(LaneState& lane, const QuiescentSpan& span) const {
       double k = std::ceil((lane.next_probe - lane.t) / dt);
       if (k < k_min) k = k_min;
       if (k >= static_cast<double>(span.steps)) break;
-      const Volts v_probe = span.voltage_at((k + 1.0) * dt);
+      const Volts v_probe = span.trajectory.voltage_at((k + 1.0) * dt);
       lane.probe_vcc.push_back(v_probe);
       lane.probe_freq.push_back(freq_mhz);
       lane.probe_state.push_back(state_channel);
@@ -76,7 +76,7 @@ void BatchKernel::book_span(LaneState& lane, const QuiescentSpan& span) const {
   }
   const Seconds jumped = static_cast<double>(span.steps) * dt;
   mcu.note_quiescent_span(jumped, span.consumed);
-  lane.harvested += span.harvested;  // nonzero for charge spans only
+  lane.harvested += span.harvested;  // nonzero for source spans only
   lane.consumed += span.consumed;
   lane.dissipated += span.dissipated;
   parts.node->set_voltage(span.v_end);

@@ -8,7 +8,6 @@
 
 namespace edc::sim {
 
-
 namespace {
 
 /// Number of whole dt steps starting at t that fit strictly inside [t, u),
@@ -24,23 +23,34 @@ std::uint64_t steps_within(Seconds t, Seconds u, Seconds dt,
   return static_cast<std::uint64_t>(n);
 }
 
-/// Books the exact continuum energy split of a decay span into `span`:
-/// the stored-energy drop divides between the constant draw (consumed) and
-/// the bleed (dissipated) with zero ledger residual. Clamping guards the
-/// last few ulp.
-void book_decay_energy(QuiescentSpan& span, Farads capacitance, Volts v0,
-                       Seconds elapsed) {
-  const Joules delta =
-      0.5 * capacitance * (v0 * v0 - span.v_end * span.v_end);
-  span.consumed = std::min(span.decay.load_energy(elapsed), delta);
-  span.dissipated = delta - span.consumed;
-  EDC_ASSERT(span.consumed >= 0.0 && span.dissipated >= 0.0);
+/// The chord certificate, contracted ICP-style (the bound-and-shrink
+/// idiom): ask the driver for a certified chord over a candidate horizon
+/// and shrink the horizon while the interval envelope exceeds the span
+/// tolerance. Chord error scales ~h^2 for the C2 sources, so a few halvings
+/// converge; give up below a 2-step window, where nothing is left to claim.
+/// Even 2-3 step spans pay for themselves: near every chord-run boundary
+/// the alternative is a fine step *plus* this same contractor run ending in
+/// rejection. An invalid certificate exits immediately — that is the
+/// per-fine-step rejection path during uncertifiable stretches, and must
+/// stay one virtual call.
+circuit::RampSpanCert contract_chord(const circuit::SupplyDriver& driver, Seconds t,
+                                     std::uint64_t max_steps, Seconds dt, Volts tol) {
+  const double n_cap =
+      static_cast<double>(std::min<std::uint64_t>(max_steps, 256));
+  Seconds horizon = n_cap * dt;
+  for (int iter = 0; iter < 16 && horizon >= 2.0 * dt; ++iter) {
+    const circuit::RampSpanCert cert = driver.plan_ramp_span(t, horizon);
+    if (!cert.valid) return cert;
+    if (std::max(-cert.err_lo, cert.err_hi) <= tol) return cert;
+    horizon = std::min(cert.until - t, horizon) * 0.5;
+  }
+  return {};
 }
 
 }  // namespace
 
 std::uint64_t QuiescentEngine::quiet_steps_on_decay(
-    const circuit::DecaySolution& decay, Seconds t, Seconds dt,
+    const circuit::AffineSolution& trajectory, Seconds t, Seconds dt,
     std::uint64_t n_cap) const {
   // The driver window is evaluated at the candidate span's voltage floor
   // (quiescent_until is monotone in v_floor, so one most-conservative
@@ -52,7 +62,7 @@ std::uint64_t QuiescentEngine::quiet_steps_on_decay(
   // only raises the true floor.
   std::uint64_t n = n_cap;
   while (n > 0) {
-    const Volts v_floor = decay.voltage_at(dt * static_cast<double>(n));
+    const Volts v_floor = trajectory.voltage_at(dt * static_cast<double>(n));
     const std::uint64_t m =
         steps_within(t, driver_->quiescent_until(v_floor, t), dt, n);
     if (m > 0) return m;
@@ -75,36 +85,25 @@ std::optional<QuiescentSpan> QuiescentEngine::plan(Seconds t,
                                                    std::uint64_t max_steps) const {
   if (max_steps == 0) return std::nullopt;
   const mcu::McuState state = mcu_->state();
-  if (state == mcu::McuState::off) {
-    // Below the power-on threshold the node can only decay or follow a
-    // certified charging ramp toward it, so the span planners stop
-    // strictly before any boot; at or above the threshold the fine path
-    // must run (it will boot the MCU this step).
-    if (config_->macro_stepping && node_->voltage() < mcu_->power().v_on) {
-      if (auto span = plan_off(t, max_steps)) return span;
-      if (config_->charge_spans) {
-        if (auto span = plan_charge(t, max_steps)) return span;
-      }
-      if (config_->ramp_spans) {
-        if (auto span = plan_ramp(t, max_steps)) return span;
-      }
-    }
-    // The bit-exact dead-node skip also covers drivers without usable
-    // hints (per-substep probing), so try it even when a macro plan
-    // found no provably-quiet step.
-    if (config_->quiescent_fast_path) return plan_dead(t, max_steps);
-    return std::nullopt;
-  }
+  const bool off = state == mcu::McuState::off;
+  // Below the power-on threshold the node can only follow a certified
+  // trajectory toward it, so the spans stop strictly before any boot; at
+  // or above the threshold the fine path must run (it will boot the MCU
+  // this step). A powered MCU is quiescent only while it sleeps, waits or
+  // is done under a policy that certifies comparator-only wake-ups.
   if (config_->macro_stepping &&
-      (state == mcu::McuState::sleep || state == mcu::McuState::wait ||
-       state == mcu::McuState::done) &&
-      mcu_->wake_is_comparator_driven()) {
-    if (auto span = plan_low_power(t, max_steps)) return span;
-    if (config_->charge_spans) {
-      if (auto span = plan_charge(t, max_steps)) return span;
+      (off ? node_->voltage() < mcu_->power().v_on
+           : (state == mcu::McuState::sleep || state == mcu::McuState::wait ||
+              state == mcu::McuState::done) &&
+                 mcu_->wake_is_comparator_driven())) {
+    for (const SpanKind kind : {SpanKind::decay, SpanKind::exact, SpanKind::chord}) {
+      if (auto span = plan_span(kind, t, max_steps)) return span;
     }
-    if (config_->ramp_spans) return plan_ramp(t, max_steps);
   }
+  // The bit-exact dead-node skip also covers drivers without usable
+  // hints (per-substep probing), so try it even when a macro plan
+  // found no provably-quiet step.
+  if (off && config_->quiescent_fast_path) return plan_dead(t, max_steps);
   return std::nullopt;
 }
 
@@ -122,7 +121,7 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_dead(
   QuiescentSpan span;
   span.steps = 1;
   span.v_end = 0.0;
-  span.decay = node_->decay_from(0.0, 0.0);
+  span.trajectory = node_->affine_from(0.0, 0.0);
   const Seconds dt = config_->dt;
   // One quiescent_until() hint covers a whole dead span: a step fully
   // inside the cached quiet window skips on a single comparison instead of
@@ -148,270 +147,119 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_dead(
   return span;
 }
 
-std::optional<QuiescentSpan> QuiescentEngine::plan_off(
-    Seconds t, std::uint64_t max_steps) const {
+std::optional<QuiescentSpan> QuiescentEngine::plan_span(
+    SpanKind kind, Seconds t, std::uint64_t max_steps) const {
   const Seconds dt = config_->dt;
   const Volts v0 = node_->voltage();
-  const Amps off_leakage = mcu_->current_draw(v0, t);
-  QuiescentSpan span;
-  span.draw = off_leakage;
 
-  if (v0 <= config_->macro_v_tol) {
-    // Dead (or tolerance-dead) node: nothing decays, so the span is limited
-    // by driver activity alone. The sub-tolerance residual charge is booked
-    // to the bleed in one lump so the energy ledger still closes exactly.
-    const std::uint64_t n =
-        steps_within(t, driver_->quiescent_until(0.0, t), dt, max_steps);
-    if (n == 0) return std::nullopt;
-    span.steps = n;
-    span.v_end = 0.0;
-    span.dissipated = 0.5 * node_->capacitance() * v0 * v0;
-    span.decay = node_->decay_from(0.0, off_leakage);
-    return span;
-  }
-
-  // Cheap rejection first: quiescent_until is monotone in v_floor and the
-  // node only decays from v0, so the hint at v0 bounds every achievable
-  // horizon from above. During charging ramps (driver active) this is the
-  // per-step cost of an enabled-but-idle macro path — one virtual call, no
-  // decay math.
-  if (steps_within(t, driver_->quiescent_until(v0, t), dt, 1) == 0) {
-    return std::nullopt;
-  }
-
-  span.decay = node_->decay_from(v0, off_leakage);
-  // The node only decays over the span, so its trajectory is bounded below
-  // by the value at the candidate horizon; quiet_steps_on_decay probes the
-  // driver window there and retries shallower when the deep band is
-  // already violated.
-  const std::uint64_t n = quiet_steps_on_decay(span.decay, t, dt, max_steps);
-  if (n == 0) return std::nullopt;
-
-  const Seconds elapsed = dt * static_cast<double>(n);
-  span.steps = n;
-  span.v_end = span.decay.voltage_at(elapsed);
-  book_decay_energy(span, node_->capacitance(), v0, elapsed);
-  return span;
-}
-
-std::optional<QuiescentSpan> QuiescentEngine::plan_low_power(
-    Seconds t, std::uint64_t max_steps) const {
-  const Seconds dt = config_->dt;
-  const Volts v0 = node_->voltage();
-  // Cheap rejection: while the driver conducts (charging ramps, active
-  // supply arcs) the span cannot start — one virtual call per fine step.
-  if (steps_within(t, driver_->quiescent_until(v0, t), dt, 1) == 0) {
-    return std::nullopt;
-  }
-
-  QuiescentSpan span;
-  span.draw = mcu_->current_draw(v0, t);  // constant per state
-  span.decay = node_->decay_from(v0, span.draw);
-
-  // The watchers' horizon: the first analytic comparator trip or v_min
-  // brown-out crossing on this decay. The crossing step itself must run
-  // finely — supply_update needs to see the v_prev > trip >= v_now
-  // transition to emit the event at its interpolated instant — so the span
-  // may only cover steps whose end stays strictly above the trip.
-  std::uint64_t n = max_steps;
-  const mcu::Mcu::WakeCrossing crossing = mcu_->plan_wake_crossing(span.decay);
-  const bool has_crossing = std::isfinite(crossing.time);
-  if (has_crossing) {
-    const double whole = std::ceil(crossing.time / dt) - 1.0;
-    if (whole <= 0.0) return std::nullopt;
-    if (whole < static_cast<double>(n)) n = static_cast<std::uint64_t>(whole);
-  }
-
-  // Driver horizon at the span's voltage floor (same shallower-retry
-  // scheme as the off-state span).
-  n = quiet_steps_on_decay(span.decay, t, dt, n);
-  if (n == 0) return std::nullopt;
-
-  span.v_end = span.decay.voltage_at(dt * static_cast<double>(n));
-  if (has_crossing) {
-    // Float-inverse guard: time_to_reach and voltage_at are analytic
-    // inverses only up to rounding, and a span that lands at or below the
-    // trip would swallow the crossing (fine stepping resumes with
-    // v_prev <= trip and the edge never fires). Backing off a step is
-    // always sound — the event then simply fires during fine stepping.
-    while (n > 0 && span.v_end <= crossing.trip) {
-      --n;
-      span.v_end = span.decay.voltage_at(dt * static_cast<double>(n));
-    }
-    if (n == 0) return std::nullopt;
-  }
-
-  span.steps = n;
-  book_decay_energy(span, node_->capacitance(), v0, dt * static_cast<double>(n));
-  return span;
-}
-
-std::optional<QuiescentSpan> QuiescentEngine::plan_charge(
-    Seconds t, std::uint64_t max_steps) const {
-  const circuit::ChargeSpanCert cert = driver_->plan_charge_span(t);
-  if (!cert.valid) return std::nullopt;
-  const Seconds dt = config_->dt;
-  std::uint64_t n = steps_within(t, cert.until, dt, max_steps);
-  if (n == 0) return std::nullopt;
-  const Volts v0 = node_->voltage();
-  // The rectifier conducts — and the closed form applies — only while the
-  // node sits strictly below the constant rectified source; at or above
-  // it the driver is dead and the decay planners own the span.
-  if (!(v0 < cert.v_source)) return std::nullopt;
-
-  QuiescentSpan span;
-  span.charging = true;
-  span.draw = mcu_->current_draw(v0, t);  // constant per state
-  span.charge = node_->charge_from(v0, cert.v_source, cert.r_series, span.draw);
-  // Only the monotone *rise* is a charging ramp; a node sagging toward a
-  // lower conduction equilibrium would arm falling watchers and is rare
-  // enough to leave to fine stepping.
-  if (!(span.charge.asymptote() > v0)) return std::nullopt;
-
-  // The watchers' horizon: the power-on boot (MCU off) or the first rising
-  // comparator trip on this rise. The crossing step itself must run finely
-  // — supply_update needs to see the v_prev < trip <= v_now transition —
-  // so the span may only cover steps whose end stays strictly below the
-  // trip.
-  const mcu::Mcu::WakeCrossing crossing = mcu_->plan_charge_crossing(span.charge);
-  const bool has_crossing = std::isfinite(crossing.time);
-  if (has_crossing) {
-    const double whole = std::ceil(crossing.time / dt) - 1.0;
-    if (whole <= 0.0) return std::nullopt;
-    if (whole < static_cast<double>(n)) n = static_cast<std::uint64_t>(whole);
-  }
-
-  span.v_end = span.charge.voltage_at(dt * static_cast<double>(n));
-  if (has_crossing) {
-    // Rising mirror of the decay spans' float-inverse guard: a span that
-    // lands at or above the trip would swallow the crossing (fine stepping
-    // resumes with v_prev >= trip and the edge never fires). Backing off a
-    // step is always sound.
-    while (n > 0 && span.v_end >= crossing.trip) {
-      --n;
-      span.v_end = span.charge.voltage_at(dt * static_cast<double>(n));
-    }
-    if (n == 0) return std::nullopt;
-  }
-
-  span.steps = n;
-  const Seconds elapsed = dt * static_cast<double>(n);
-  span.consumed = span.charge.load_energy(elapsed);
-  span.dissipated = span.charge.bleed_energy(elapsed);
-  // Deriving the harvested share from the continuum identity
-  // harvested == stored delta + consumed + dissipated closes the span's
-  // ledger exactly, mirroring book_decay_energy's zero residual.
-  const Joules delta =
-      0.5 * node_->capacitance() * (span.v_end * span.v_end - v0 * v0);
-  span.harvested = delta + span.consumed + span.dissipated;
-  EDC_ASSERT(span.consumed >= 0.0 && span.dissipated >= 0.0 &&
-             span.harvested >= 0.0);
-  return span;
-}
-
-std::optional<QuiescentSpan> QuiescentEngine::plan_ramp(
-    Seconds t, std::uint64_t max_steps) const {
-  const Seconds dt = config_->dt;
-  const Volts tol = config_->macro_v_tol;
-
-  // ICP-style contraction (the bound-and-shrink idiom): ask the driver for
-  // a certified chord over a candidate horizon and shrink the horizon
-  // while the interval envelope exceeds the span tolerance. Chord error
-  // scales ~h^2 for the C2 sources, so a few halvings converge; give up
-  // below a 2-step window, where nothing is left to claim. Even 2-3 step
-  // spans pay for themselves: near every chord-run boundary the
-  // alternative is a fine step *plus* this same contractor run ending in
-  // rejection. An invalid certificate exits immediately — that is the
-  // per-fine-step rejection path during uncertifiable stretches, and must
-  // stay one virtual call.
-  const double n_cap =
-      static_cast<double>(std::min<std::uint64_t>(max_steps, 256));
-  Seconds horizon = n_cap * dt;
+  // 1. Certificate. A decay certifies no injected current at all:
+  // quiescent_until is monotone in v_floor and the node only decays from
+  // v0, so the window at v0 bounds every achievable horizon from above (it
+  // is refined at the trajectory floor below). The source kinds certify a
+  // rectified Thevenin source: exact (zero envelope, constant voltage, no
+  // contraction and no horizon cap) or a contracted chord.
   circuit::RampSpanCert cert;
-  for (int iter = 0;; ++iter) {
-    if (iter >= 16 || !(horizon >= 2.0 * dt)) return std::nullopt;
-    cert = driver_->plan_ramp_span(t, horizon);
-    if (!cert.valid) return std::nullopt;
-    const Volts envelope = std::max(-cert.err_lo, cert.err_hi);
-    if (envelope <= tol) break;
-    horizon = std::min(cert.until - t, horizon) * 0.5;
+  if (kind == SpanKind::decay) {
+    cert.valid = true;
+    cert.until = driver_->quiescent_until(v0, t);
+  } else if (kind == SpanKind::exact) {
+    const circuit::ChargeSpanCert exact = driver_->plan_charge_span(t);
+    cert.valid = exact.valid;
+    cert.v_source0 = exact.v_source;
+    cert.r_series = exact.r_series;
+    cert.until = exact.until;
+  } else {
+    cert = contract_chord(*driver_, t, max_steps, dt, config_->macro_v_tol);
   }
-  // The chord may deviate from the true source by env_pad; the node (a
-  // stable linear ODE with DC gain <= 1 from the source and zero initial
-  // deviation) then deviates from the modeled trajectory by at most
-  // env_pad too.
-  const Volts env_pad = std::max(-cert.err_lo, cert.err_hi);
-
+  if (!cert.valid) return std::nullopt;
   std::uint64_t n = steps_within(t, cert.until, dt, max_steps);
   if (n == 0) return std::nullopt;
+  // The true source may deviate from the chord by pad; the node (a stable
+  // linear ODE with DC gain <= 1 from the source and zero initial
+  // deviation) then deviates from the modelled trajectory by at most pad.
+  const Volts pad = std::max(-cert.err_lo, cert.err_hi);
 
-  const Volts v0 = node_->voltage();
+  // 2. Solution.
   QuiescentSpan span;
-  span.ramping = true;
   span.draw = mcu_->current_draw(v0, t);  // constant per state
-  span.ramp = node_->ramp_from(v0, cert.v_source0, cert.slope, cert.r_series,
-                               span.draw);
-
-  Seconds elapsed = dt * static_cast<double>(n);
-  // Certify the closed form's validity over the whole window:
-  //  * the ground clamp provably never engages — the modeled minimum
-  //    clears the node deviation envelope;
-  //  * the rectifier provably keeps conducting — the modeled source-node
-  //    margin clears the chord envelope plus the node envelope, so the
-  //    true rectified source stays strictly above the true node voltage
-  //    and current_into never takes its zero branch.
-  // Either failing leaves the span to fine stepping (or to a later, closer
-  // equilibrium where the margins reopen).
-  if (!(span.ramp.min_voltage(elapsed) > env_pad)) return std::nullopt;
-  if (!(span.ramp.min_source_margin(elapsed) > 2.0 * env_pad)) {
-    return std::nullopt;
+  if (kind == SpanKind::decay) {
+    // A tolerance-dead node decays no further (this is what lets
+    // exponential tails terminate); its residual charge books to the bleed
+    // in one lump below, so the ledger still closes exactly.
+    span.trajectory =
+        node_->affine_from(v0 <= config_->macro_v_tol ? 0.0 : v0, span.draw);
+  } else {
+    // The rectifier must conduct from the start (the margin clears the
+    // chord plus the node envelope); the whole window is certified below.
+    if (!(cert.v_source0 - v0 > 2.0 * pad)) return std::nullopt;
+    span.trajectory =
+        node_->affine_from(v0, span.draw, cert.v_source0, cert.slope, cert.r_series);
   }
 
-  // The watchers' horizon on the (possibly non-monotone) ramp: the first
-  // instant the modeled trajectory enters any armed watcher's +/- env_pad
-  // band bounds every possible discrete event from below. The crossing
-  // step itself must run finely, so the span may only cover steps whose
-  // end provably stays outside the binding band.
-  const mcu::Mcu::WakeCrossing crossing = mcu_->plan_ramp_crossing(
-      span.ramp, env_pad, elapsed + dt);
+  // 3. Watcher horizon: the first instant any armed watcher could fire.
+  // The crossing step itself must run finely, so the span may only cover
+  // steps that end before it.
+  const circuit::Crossing crossing = mcu_->plan_crossing(
+      span.trajectory, pad, dt * (static_cast<double>(n) + 1.0));
   const bool has_crossing = std::isfinite(crossing.time);
   if (has_crossing) {
     const double whole = std::ceil(crossing.time / dt) - 1.0;
     if (whole <= 0.0) return std::nullopt;
-    if (whole < static_cast<double>(n)) {
-      n = static_cast<std::uint64_t>(whole);
-      elapsed = dt * static_cast<double>(n);
+    if (whole < static_cast<double>(n)) n = static_cast<std::uint64_t>(whole);
+  }
+  if (kind == SpanKind::decay) {
+    // The decay certificate proper: the driver window at the span's floor.
+    n = quiet_steps_on_decay(span.trajectory, t, dt, n);
+    if (n == 0) return std::nullopt;
+  } else {
+    // A source span's closed form holds only while the rectifier provably
+    // keeps conducting and the ground clamp provably never engages.
+    const Seconds window = dt * static_cast<double>(n);
+    if (!(span.trajectory.min_voltage(window) >= pad) ||
+        !(span.trajectory.min_margin_below(cert.v_source0, cert.slope, window) >
+          2.0 * pad)) {
+      return std::nullopt;
     }
   }
 
-  span.v_end = span.ramp.voltage_at(elapsed);
+  // 4. Float-guard back-off. time_to_reach and voltage_at are inverses
+  // only up to rounding, and a span that ends at or past the binding
+  // watcher's band edge would swallow its crossing (fine stepping would
+  // resume on the far side and the edge never fire). The end must stay
+  // strictly on the starting side; backing off a step is always sound.
+  Seconds elapsed = dt * static_cast<double>(n);
+  span.v_end = span.trajectory.voltage_at(elapsed);
   if (has_crossing) {
-    // Float-inverse guard, interval edition: the span's end must sit
-    // strictly outside the binding trip's err_pad band on the starting
-    // side, so the resumed fine stepping still owns the whole crossing
-    // edge. Backing off a step is always sound.
-    const bool from_above = span.ramp.v0 > crossing.trip;
-    const Volts guard =
-        from_above ? crossing.trip + env_pad : crossing.trip - env_pad;
-    while (n > 0 &&
-           (from_above ? span.v_end <= guard : span.v_end >= guard)) {
+    const bool from_above = span.trajectory.v0() > crossing.trip;
+    const Volts guard = from_above ? crossing.trip + pad : crossing.trip - pad;
+    while (n > 0 && (from_above ? span.v_end <= guard : span.v_end >= guard)) {
       --n;
       elapsed = dt * static_cast<double>(n);
-      span.v_end = span.ramp.voltage_at(elapsed);
+      span.v_end = span.trajectory.voltage_at(elapsed);
     }
     if (n == 0) return std::nullopt;
   }
 
+  // 5. Ledger booking, exact in the continuum.
   span.steps = n;
-  span.consumed = span.ramp.load_energy(elapsed);
-  span.dissipated = span.ramp.bleed_energy(elapsed);
-  // Same continuum identity as plan_charge: deriving the harvested share
-  // from stored delta + consumed + dissipated closes the ledger exactly.
   const Joules delta =
       0.5 * node_->capacitance() * (span.v_end * span.v_end - v0 * v0);
-  span.harvested = delta + span.consumed + span.dissipated;
-  EDC_ASSERT(span.consumed >= 0.0 && span.dissipated >= 0.0 &&
-             span.harvested >= 0.0);
+  span.consumed = std::max(span.draw * span.trajectory.integral(elapsed), 0.0);
+  if (kind == SpanKind::decay) {
+    // Nothing is harvested: the stored-energy drop divides between the
+    // constant draw and the bleed. Clamping guards the last few ulp.
+    span.consumed = std::min(span.consumed, -delta);
+    span.dissipated = -delta - span.consumed;
+  } else {
+    const Ohms bleed = node_->bleed();
+    span.dissipated =
+        bleed > 0.0 ? std::max(span.trajectory.square_integral(elapsed) / bleed, 0.0)
+                    : 0.0;
+    // Deriving the harvested share from the continuum identity
+    // harvested == stored delta + consumed + dissipated closes the ledger.
+    span.harvested = delta + span.consumed + span.dissipated;
+  }
+  EDC_ASSERT(span.consumed >= 0.0 && span.dissipated >= 0.0 && span.harvested >= 0.0);
   return span;
 }
 

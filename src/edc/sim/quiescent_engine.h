@@ -6,35 +6,38 @@
 // *sleeping* with live comparators, browning out through a bled decay, or
 // sitting fully discharged waiting for the source. The fine-stepped loop
 // pays a fixed dt through all of it although nothing discrete can happen.
-// This engine collapses the simulator's historical special cases — the
-// bit-exact V = 0 skip, the MCU-off macro stepper, and (new) sleep-span
-// planning — into one description + one horizon planner:
+// This engine plans all of them with one closed form and one span planner:
 //
 //   * a QuiescentState: who draws constant current (off-leakage while the
 //     MCU is off, i_sleep / i_deep_wait while hibernating) and which
-//     discrete watchers are armed (none below the power-on threshold; the
+//     discrete watchers are armed (the power-on release below v_on; the
 //     supply comparators + the v_min brown-out while powered);
-//   * a generalized horizon: the earliest of driver activity
-//     (SupplyDriver::quiescent_until), the analytic comparator/v_min
-//     crossing on the closed-form decay (DecaySolution::time_to_reach via
-//     ComparatorBank::plan_falling_crossing / Mcu::plan_wake_crossing),
-//     and the caller's own deadlines (t_end, governor period, folded into
-//     max_steps).
+//   * a certificate — the driver's proof of its current over a window —
+//     of one of three kinds, tried in this order: *decay* (no current at
+//     all: SupplyDriver::quiescent_until, probed at the trajectory floor),
+//     *exact* (a constant rectified Thevenin source:
+//     SupplyDriver::plan_charge_span) and *chord* (an affine source chord
+//     with an interval envelope: SupplyDriver::plan_ramp_span, contracted
+//     until the envelope fits macro_v_tol);
+//   * the node's closed-form trajectory under that certificate
+//     (circuit::AffineSolution), the watchers' horizon on it
+//     (Mcu::plan_crossing — one crossing rule for every watcher), a
+//     float-guard back-off, and the exact continuum energy booking. The
+//     caller folds its own deadlines (t_end, governor period) into
+//     max_steps.
 //
 // The engine jumps whole dt-lattice spans to that horizon. Spans end
 // strictly *before* the first crossing step, so the resumed fine stepping
-// delivers the v_prev > trip >= v_now transition and every comparator
-// event, interpolated crossing time, policy callback and the energy ledger
-// stay in lock-step with the fine path. A span's energy split is exact in
-// the continuum: the stored-energy drop 0.5*C*(V0^2 - V1^2) is booked as
-// constant-draw (consumed) energy plus bleed dissipation with zero ledger
-// residual.
+// delivers the crossing transition and every comparator event,
+// interpolated crossing time, policy callback and the energy ledger stay in
+// lock-step with the fine path. A span's energy split is exact in the
+// continuum, so the ledger residual is zero by construction.
 //
 // Two accuracy regimes coexist (SimConfig):
 //   * quiescent_fast_path (default on): only the dead-node case (MCU off,
 //     V = 0, source quiet) — *bit-exact*, single-step spans.
-//   * macro_stepping (opt-in): the analytic decay spans — agree with the
-//     fine path within its own discretisation error (the contract
+//   * macro_stepping (opt-in): the analytic spans — agree with the fine
+//     path within its own discretisation error (the contract
 //     differential-tested in tests/macro_step_test.cpp).
 #pragma once
 
@@ -54,27 +57,17 @@ struct SimConfig;
 /// one go, with the end state and the exact energy booking. The simulator
 /// books every span the same way — time/energy via
 /// Mcu::note_quiescent_span, ledger shares into the run totals, probe
-/// samples replayed from `decay` — and a bit-exact dead-node skip is
+/// samples replayed from `trajectory` — and a bit-exact dead-node skip is
 /// simply the degenerate span whose bookings and trajectory are
 /// identically zero.
 struct QuiescentSpan {
   std::uint64_t steps = 0;       ///< always >= 1 when planned
   Volts v_end = 0.0;             ///< node voltage at the end of the span
-  Joules harvested = 0.0;        ///< driver-delivered share (charge/ramp spans)
+  Joules harvested = 0.0;        ///< driver-delivered share (0 for decays)
   Joules consumed = 0.0;         ///< constant-draw share (MCU-drawn)
   Joules dissipated = 0.0;       ///< bleed share (+ snapped sub-tolerance charge)
   Amps draw = 0.0;               ///< the state's constant current (probe replay)
-  bool charging = false;         ///< trajectory lives in `charge`, not `decay`
-  bool ramping = false;          ///< trajectory lives in `ramp` (overrides both)
-  circuit::DecaySolution decay;        ///< analytic decay trajectory
-  circuit::ChargeSolution charge;      ///< analytic charge trajectory
-  circuit::LinearRampSolution ramp;    ///< analytic linear-source trajectory
-
-  /// The span's analytic node voltage `elapsed` seconds in (probe replay).
-  [[nodiscard]] Volts voltage_at(Seconds elapsed) const {
-    if (ramping) return ramp.voltage_at(elapsed);
-    return charging ? charge.voltage_at(elapsed) : decay.voltage_at(elapsed);
-  }
+  circuit::AffineSolution trajectory;  ///< analytic node trajectory (probe replay)
 };
 
 class QuiescentEngine {
@@ -96,14 +89,17 @@ class QuiescentEngine {
                                                   std::uint64_t max_steps) const;
 
  private:
+  /// The certificate kinds, in the order plan() tries them.
+  enum class SpanKind : std::uint8_t { decay, exact, chord };
+
   /// Largest provably-quiet step count <= n_cap for a span following
-  /// `decay`: probes the driver window (quiescent_until, monotone in the
-  /// floor) at the candidate floor and retries geometrically shallower
+  /// `trajectory`: probes the driver window (quiescent_until, monotone in
+  /// the floor) at the candidate floor and retries geometrically shallower
   /// candidates when the deepest band is already violated — so a slowly
   /// decaying node next to a driver that is only briefly quiet still gets
   /// its short spans instead of a blanket rejection.
   [[nodiscard]] std::uint64_t quiet_steps_on_decay(
-      const circuit::DecaySolution& decay, Seconds t, Seconds dt,
+      const circuit::AffineSolution& trajectory, Seconds t, Seconds dt,
       std::uint64_t n_cap) const;
 
   /// Bit-exact dead-node skip (MCU off, V exactly 0, v_on above ground):
@@ -112,41 +108,13 @@ class QuiescentEngine {
   [[nodiscard]] std::optional<QuiescentSpan> plan_dead(Seconds t,
                                                        std::uint64_t max_steps) const;
 
-  /// Analytic decay span while the MCU is off below its power-on threshold
-  /// (no watchers armed: the horizon is driver activity alone).
-  [[nodiscard]] std::optional<QuiescentSpan> plan_off(Seconds t,
-                                                      std::uint64_t max_steps) const;
-
-  /// Analytic decay span while the MCU sleeps/waits/is done with live
-  /// comparators: the horizon additionally stops strictly before the first
-  /// analytic comparator or v_min crossing.
-  [[nodiscard]] std::optional<QuiescentSpan> plan_low_power(
-      Seconds t, std::uint64_t max_steps) const;
-
-  /// Analytic charging ramp while the driver certifies a piecewise-constant
-  /// window (SupplyDriver::plan_charge_span) and the MCU is off or in a
-  /// certified low-power state: the closed-form rectifier+RC rise, stopped
-  /// strictly before the first power-on / rising-comparator crossing. The
-  /// span's energy booking derives the harvested share from the exact
-  /// continuum ledger (stored delta + load + bleed), so the residual is
-  /// zero by construction.
-  [[nodiscard]] std::optional<QuiescentSpan> plan_charge(
-      Seconds t, std::uint64_t max_steps) const;
-
-  /// Analytic *linear-ramp* span while the driver certifies a piecewise-
-  /// linear chord window with an interval error envelope
-  /// (SupplyDriver::plan_ramp_span) and the MCU is off or in a certified
-  /// low-power state. An ICP-style contractor halves the candidate horizon
-  /// until the chord envelope fits macro_v_tol (chord error shrinks ~h^2,
-  /// so a few halvings converge), then certifies on the closed form that
-  /// (a) the ground clamp provably never engages, (b) the rectifier
-  /// provably keeps conducting (source margin clears chord + node
-  /// envelopes), and (c) every comparator / power watcher stays provably
-  /// clear of the trajectory's error band (Mcu::plan_ramp_crossing), so
-  /// the crossing step is unique within the envelope when fine stepping
-  /// resumes. This is what claims the sine/wind arcs charge spans cannot.
-  [[nodiscard]] std::optional<QuiescentSpan> plan_ramp(
-      Seconds t, std::uint64_t max_steps) const;
+  /// The span planner: certificate of `kind` -> closed-form solution ->
+  /// watcher horizon -> float-guard back-off -> ledger booking. Only the
+  /// certificate differs by kind, and each kind keeps a one-call rejection
+  /// (quiescent_until at v0, one plan_charge_span, or one invalid
+  /// plan_ramp_span) for the common case that it claims nothing.
+  [[nodiscard]] std::optional<QuiescentSpan> plan_span(
+      SpanKind kind, Seconds t, std::uint64_t max_steps) const;
 
   const SimConfig* config_;
   const circuit::SupplyNode* node_;

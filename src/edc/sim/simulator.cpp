@@ -89,7 +89,7 @@ void Simulator::run_loop(SimResult& result) {
             double k = std::ceil((next_probe - t) / dt);
             if (k < k_min) k = k_min;
             if (k >= static_cast<double>(span->steps)) break;
-            const Volts v_probe = span->voltage_at((k + 1.0) * dt);
+            const Volts v_probe = span->trajectory.voltage_at((k + 1.0) * dt);
             probe_vcc.push_back(v_probe);
             probe_freq.push_back(freq_mhz);
             probe_state.push_back(state_channel);
@@ -100,7 +100,7 @@ void Simulator::run_loop(SimResult& result) {
         }
         const Seconds jumped = static_cast<double>(span->steps) * dt;
         mcu.note_quiescent_span(jumped, span->consumed);
-        harvested += span->harvested;  // nonzero for charge spans only
+        harvested += span->harvested;  // nonzero for source spans only
         consumed += span->consumed;
         dissipated += span->dissipated;
         node.set_voltage(span->v_end);

@@ -37,45 +37,24 @@ struct SimConfig {
   /// so this is purely a fast path; disable only to benchmark it.
   bool quiescent_fast_path = true;
   /// Opt-in analytic macro-stepping of every quiescent regime (see
-  /// sim/quiescent_engine.h): while the MCU is off *or* sleeping/waiting/
-  /// done under a comparator-driven policy, solve the bleed + constant-draw
-  /// decay analytically and jump whole spans of dt steps at once, up to the
-  /// earliest of the driver becoming active, the analytic comparator/v_min
-  /// crossing, the next governor deadline and t_end. Unlike
+  /// sim/quiescent_engine.h): while the MCU is off below its power-on
+  /// threshold *or* sleeping/waiting/done under a comparator-driven policy,
+  /// follow the node's closed-form trajectory under a driver certificate —
+  /// a bled decay while the driver is provably quiet, a rectified RC charge
+  /// through a constant source window, or a charge along a certified affine
+  /// source chord (sine arcs, wind gust tails, recorded trace cells) — and
+  /// jump whole spans of dt steps at once, up to the earliest of the
+  /// certificate's end, the first instant an armed comparator / power
+  /// watcher could fire, the next governor deadline and t_end. Unlike
   /// quiescent_fast_path this is NOT bit-identical with the fine path —
-  /// the analytic trajectory replaces the fine path's Euler substepping
-  /// through decay tails — but it agrees within the fine path's own
-  /// discretisation error (differential-tested in
-  /// tests/macro_step_test.cpp): same event sequences, crossing times
-  /// within a few dt, energies within 1%, bit-identical workload digests.
-  /// Keep it off for reference/regression runs; turn it on for sweeps over
-  /// duty-cycled, sleep-dominated or brown-out-heavy scenarios.
+  /// the analytic trajectory replaces the fine path's Euler substepping —
+  /// but it agrees within the fine path's own discretisation error
+  /// (differential-tested in tests/macro_step_test.cpp): same event
+  /// sequences, crossing times within a few dt, energies within 1%,
+  /// bit-identical workload digests. Keep it off for reference/regression
+  /// runs; turn it on for sweeps over duty-cycled, sleep-dominated or
+  /// brown-out-heavy scenarios.
   bool macro_stepping = false;
-  /// Macro-step *charging ramps* too (only meaningful with macro_stepping
-  /// on): while the MCU is off below its power-on threshold or parked in a
-  /// comparator-watched low-power state and the driver certifies a
-  /// piecewise-constant window (SupplyDriver::plan_charge_span — DC
-  /// sources, square-wave phases, recorded constant stretches), follow the
-  /// closed-form rectifier+RC charge trajectory (circuit::ChargeSolution)
-  /// and jump whole spans to the first power-on / rising-comparator
-  /// crossing. Same accuracy contract and differential tests as the decay
-  /// spans; a separate flag so the charge planner can be ablated.
-  bool charge_spans = true;
-  /// Macro-step *piecewise-linear arcs* too (only meaningful with
-  /// macro_stepping on): where charge spans need a piecewise-constant
-  /// source, ramp spans accept any stretch the source certifies as an
-  /// affine chord with an interval error envelope
-  /// (VoltageSource::linear_until -> SupplyDriver::plan_ramp_span — sine
-  /// arcs, wind gust tails, recorded trace cells). An ICP-style contractor
-  /// shrinks the candidate window until the chord envelope fits
-  /// macro_v_tol, then the closed-form linear-ramp solution
-  /// (circuit::LinearRampSolution) jumps the span — stopped strictly
-  /// before the first instant the trajectory could enter any armed
-  /// comparator / power watcher's error band, so the crossing step is
-  /// provably unique and still runs finely. Same accuracy contract and
-  /// differential tests as the other spans; a separate flag so the ramp
-  /// planner can be ablated.
-  bool ramp_spans = true;
   /// Accuracy knob of the macro path: node voltages at or below this are
   /// treated as fully discharged (the residual charge books to the bleed),
   /// which lets exponential tails terminate instead of being chased

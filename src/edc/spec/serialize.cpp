@@ -583,8 +583,6 @@ void write_spec_body(Writer& w, const SystemSpec& spec) {
   w.field("probe_interval", spec.sim.probe_interval);
   w.field("quiescent_fast_path", spec.sim.quiescent_fast_path);
   w.field("macro_stepping", spec.sim.macro_stepping);
-  w.field("charge_spans", spec.sim.charge_spans);
-  w.field("ramp_spans", spec.sim.ramp_spans);
   w.field("macro_v_tol", spec.sim.macro_v_tol);
   w.end();
 }
@@ -673,8 +671,6 @@ SystemSpec read_spec_body(Reader& r) {
   spec.sim.probe_interval = r.number("probe_interval");
   spec.sim.quiescent_fast_path = r.boolean("quiescent_fast_path");
   spec.sim.macro_stepping = r.boolean("macro_stepping");
-  spec.sim.charge_spans = r.boolean("charge_spans");
-  spec.sim.ramp_spans = r.boolean("ramp_spans");
   spec.sim.macro_v_tol = r.number("macro_v_tol");
   r.end();
 

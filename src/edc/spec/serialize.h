@@ -61,7 +61,11 @@ namespace edc::spec {
 // unchanged, but the tag vocabulary widened, so the bump keeps old caches
 // from holding entries a newer reader would accept and an older reader
 // would reject.
-inline constexpr int kSpecFormatVersion = 6;
+// v7: SimConfig lost charge_spans and ramp_spans. One span planner over
+// one closed form (circuit::AffineSolution) now plans every certificate
+// kind, so there is nothing left to switch off; the fields leave the byte
+// stream, and macro rows cached under the old planners age out.
+inline constexpr int kSpecFormatVersion = 7;
 
 /// Thrown by serialize()/parse_spec() on any deviation from the canonical
 /// format (shared with the SimResult serializer in edc/sim/result_io).

@@ -14,7 +14,7 @@
 //   * the energy ledger closing exactly (macro spans book a zero-residual
 //     split by construction).
 //
-// Also covers the building blocks: the DecaySolution closed form against
+// Also covers the building blocks: the AffineSolution closed form against
 // numerical integration, the ActivityIndex over recorded traces, the
 // never-overclaim contract of every quiescent_until/bounded_until/
 // dormant_until override, and bit-identity of the (hint-accelerated)
@@ -45,11 +45,13 @@ namespace {
 using namespace edc;
 
 // ------------------------------------------------------------ DecaySolution
+// The closed form circuit::AffineSolution in its decay regime:
+// C dV/dt = -V/Rb - I (SupplyNode::affine_from without a source).
 
 TEST(DecaySolution, MatchesNumericalIntegrationWithBleedAndLoad) {
   circuit::SupplyNode node(47e-6);
   node.set_bleed(3000.0);
-  const circuit::DecaySolution decay = node.decay_from(2.5, 5e-6);
+  const circuit::AffineSolution decay = node.affine_from(2.5, 5e-6);
 
   // Reference: forward Euler at a step far finer than the simulator's.
   double v = 2.5;
@@ -63,32 +65,35 @@ TEST(DecaySolution, MatchesNumericalIntegrationWithBleedAndLoad) {
     v = std::max(v - (i_bleed + i_load) / 47e-6 * h, 0.0);
   }
   EXPECT_NEAR(decay.voltage_at(horizon), v, 1e-4);
-  EXPECT_NEAR(decay.load_energy(horizon), load_energy, 1e-9);
+  EXPECT_NEAR(5e-6 * decay.integral(horizon), load_energy, 1e-9);
 }
 
 TEST(DecaySolution, PureLeakageRampReachesGroundExactly) {
   circuit::SupplyNode node(10e-6);  // no bleed
-  const circuit::DecaySolution decay = node.decay_from(1.0, 1e-6);
-  const Seconds t_zero = decay.time_to_zero();
+  const circuit::AffineSolution decay = node.affine_from(1.0, 1e-6);
+  const Seconds t_zero = decay.time_to_reach(0.0);
   EXPECT_NEAR(t_zero, 10e-6 * 1.0 / 1e-6, 1e-9);  // C*V/I = 10 s
   EXPECT_DOUBLE_EQ(decay.voltage_at(t_zero * 2.0), 0.0);
   // Past ground the load draws nothing more: energy saturates at the full
   // stored energy 0.5*C*V0^2.
-  EXPECT_NEAR(decay.load_energy(t_zero * 2.0), 0.5 * 10e-6, 1e-12);
+  EXPECT_NEAR(1e-6 * decay.integral(t_zero * 2.0), 0.5 * 10e-6, 1e-12);
 }
 
 TEST(DecaySolution, BleedOnlyNeverTouchesGround) {
   circuit::SupplyNode node(10e-6);
   node.set_bleed(10000.0);
-  const circuit::DecaySolution decay = node.decay_from(2.0, 0.0);
-  EXPECT_TRUE(std::isinf(decay.time_to_zero()));
+  const circuit::AffineSolution decay = node.affine_from(2.0, 0.0);
+  EXPECT_TRUE(std::isinf(decay.time_to_reach(0.0)));
   EXPECT_GT(decay.voltage_at(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(decay.load_energy(10.0), 0.0);
+  // With no load the whole stored-energy drop is the bleed's.
+  const Volts v1 = decay.voltage_at(10.0);
+  EXPECT_NEAR(decay.square_integral(10.0) / 10000.0,
+              0.5 * 10e-6 * (2.0 * 2.0 - v1 * v1), 1e-12);
 }
 
 /// Numeric reference for time_to_reach: bisection on the (monotone)
 /// closed-form trajectory itself.
-Seconds bisect_time_to_reach(const circuit::DecaySolution& decay, Volts v,
+Seconds bisect_time_to_reach(const circuit::AffineSolution& decay, Volts v,
                              Seconds hi) {
   Seconds lo = 0.0;
   for (int i = 0; i < 200; ++i) {
@@ -105,7 +110,7 @@ Seconds bisect_time_to_reach(const circuit::DecaySolution& decay, Volts v,
 TEST(DecaySolution, TimeToReachMatchesNumericRootFinding) {
   circuit::SupplyNode node(47e-6);
   node.set_bleed(3000.0);
-  const circuit::DecaySolution decay = node.decay_from(2.5, 5e-6);
+  const circuit::AffineSolution decay = node.affine_from(2.5, 5e-6);
   for (const Volts v : {2.2, 1.8, 1.0, 0.3, 0.05}) {
     const Seconds analytic = decay.time_to_reach(v);
     const Seconds numeric = bisect_time_to_reach(decay, v, 10.0);
@@ -118,58 +123,61 @@ TEST(DecaySolution, TimeToReachMatchesNumericRootFinding) {
 
 TEST(DecaySolution, TimeToReachPureRampAndEdgeCases) {
   circuit::SupplyNode node(10e-6);  // no bleed: constant-current ramp
-  const circuit::DecaySolution ramp = node.decay_from(2.0, 1e-6);
+  const circuit::AffineSolution ramp = node.affine_from(2.0, 1e-6);
   EXPECT_NEAR(ramp.time_to_reach(1.0), 10e-6 * 1.0 / 1e-6, 1e-12);  // C*dV/I
   EXPECT_DOUBLE_EQ(ramp.time_to_reach(2.0), 0.0);  // already there
-  EXPECT_DOUBLE_EQ(ramp.time_to_reach(2.5), 0.0);  // above the start
-  EXPECT_NEAR(ramp.time_to_reach(0.0), ramp.time_to_zero(), 1e-12);
+  // The inverse is a first-passage time: a decay never climbs back to a
+  // level above its start.
+  EXPECT_TRUE(std::isinf(ramp.time_to_reach(2.5)));
+  EXPECT_NEAR(ramp.time_to_reach(0.0), 10e-6 * 2.0 / 1e-6, 1e-9);  // C*V0/I
 
   // Exponential tail: the asymptote is ground, so 0 V is never reached.
   node.set_bleed(10000.0);
-  const circuit::DecaySolution tail = node.decay_from(2.0, 0.0);
+  const circuit::AffineSolution tail = node.affine_from(2.0, 0.0);
   EXPECT_TRUE(std::isinf(tail.time_to_reach(0.0)));
   EXPECT_NEAR(tail.time_to_reach(1.0), 10e-6 * 10000.0 * std::log(2.0), 1e-9);
 
   // No bleed, no load: the voltage holds forever.
   circuit::SupplyNode held(10e-6);
-  EXPECT_TRUE(std::isinf(held.decay_from(2.0, 0.0).time_to_reach(1.0)));
+  EXPECT_TRUE(std::isinf(held.affine_from(2.0, 0.0).time_to_reach(1.0)));
 }
 
 TEST(ComparatorBank, PlanFallingCrossingFindsTheHighestArmedTrip) {
   circuit::SupplyNode node(47e-6);
   node.set_bleed(3000.0);
-  const circuit::DecaySolution decay = node.decay_from(3.0, 1e-6);
+  const circuit::AffineSolution decay = node.affine_from(3.0, 1e-6);
+  const Seconds forever = std::numeric_limits<Seconds>::infinity();
 
   circuit::ComparatorBank bank;
   bank.add(circuit::Comparator("VR", 2.5, 0.0));
   bank.add(circuit::Comparator("VH", 2.0, 0.0));
   bank.reset(3.0);  // both outputs high: armed for falling trips
 
-  Volts trip = 0.0;
-  const Seconds t = bank.plan_falling_crossing(decay, &trip);
-  EXPECT_DOUBLE_EQ(trip, 2.5);  // the decay hits VR first
-  EXPECT_NEAR(t, decay.time_to_reach(2.5), 1e-12);
+  const circuit::Crossing first = bank.plan_crossing(decay, 0.0, forever);
+  EXPECT_DOUBLE_EQ(first.trip, 2.5);  // the decay hits VR first
+  EXPECT_NEAR(first.time, decay.time_to_reach(2.5), 1e-12);
 
   // Fire VR (output low): the next crossing is VH.
   (void)bank.at(0).update(3.0, 0.0, 2.4, 1.0);
-  const Seconds t2 = bank.plan_falling_crossing(decay, &trip);
-  EXPECT_DOUBLE_EQ(trip, 2.0);
-  EXPECT_NEAR(t2, decay.time_to_reach(2.0), 1e-12);
+  const circuit::Crossing second = bank.plan_crossing(decay, 0.0, forever);
+  EXPECT_DOUBLE_EQ(second.trip, 2.0);
+  EXPECT_NEAR(second.time, decay.time_to_reach(2.0), 1e-12);
 
   // A decay starting below every armed trip can never fire: planning from
   // v0 = 1.5 with both comparators latched low claims no crossing.
   bank.reset(1.0);
-  EXPECT_TRUE(std::isinf(bank.plan_falling_crossing(node.decay_from(1.5, 1e-6))));
+  EXPECT_TRUE(std::isinf(
+      bank.plan_crossing(node.affine_from(1.5, 1e-6), 0.0, forever).time));
 }
 
 TEST(DecaySolution, LedgerSplitClosesExactly) {
   circuit::SupplyNode node(22e-6);
   node.set_bleed(5000.0);
-  const circuit::DecaySolution decay = node.decay_from(1.7, 0.05e-6);
+  const circuit::AffineSolution decay = node.affine_from(1.7, 0.05e-6);
   const Seconds span = 0.4;
   const Volts v1 = decay.voltage_at(span);
   const Joules delta = 0.5 * 22e-6 * (1.7 * 1.7 - v1 * v1);
-  const Joules consumed = decay.load_energy(span);
+  const Joules consumed = 0.05e-6 * decay.integral(span);
   // consumed + dissipated == delta by construction; consumed must fit.
   EXPECT_LE(consumed, delta + 1e-15);
   EXPECT_GE(consumed, 0.0);
@@ -222,13 +230,15 @@ TEST(ActivityIndex, NonzeroHeadClampsActiveBeforeTheSpan) {
 }
 
 // ------------------------------------------------------- ChargeSolution ---
+// The closed form in its rectified-RC regime: C dV/dt = (Vs - V)/Rs - V/Rb
+// - I (SupplyNode::affine_from with a constant source).
 
 TEST(ChargeSolution, MatchesNumericalIntegrationWithBleedAndLoad) {
   circuit::SupplyNode node(47e-6);
   node.set_bleed(3000.0);
   // A 3.05 V rectified source through 50 ohm into the bled node with the
   // sleep draw — the Fig 7 charging-ramp configuration.
-  const circuit::ChargeSolution charge = node.charge_from(0.4, 3.05, 50.0, 1.5e-6);
+  const circuit::AffineSolution charge = node.affine_from(0.4, 1.5e-6, 3.05, 0.0, 50.0);
 
   double v = 0.4;
   double load_energy = 0.0, bleed_energy = 0.0;
@@ -243,18 +253,20 @@ TEST(ChargeSolution, MatchesNumericalIntegrationWithBleedAndLoad) {
     v += (i_in - i_bleed - i_load) / 47e-6 * h;
   }
   EXPECT_NEAR(charge.voltage_at(horizon), v, 1e-4);
-  EXPECT_NEAR(charge.load_energy(horizon), load_energy, 1e-11);
-  EXPECT_NEAR(charge.bleed_energy(horizon), bleed_energy,
+  EXPECT_NEAR(1.5e-6 * charge.integral(horizon), load_energy, 1e-11);
+  EXPECT_NEAR(charge.square_integral(horizon) / 3000.0, bleed_energy,
               1e-6 * bleed_energy + 1e-12);
-  // The asymptote sits strictly below the source (the bleed drops some of
-  // it) and the trajectory approaches it from below.
-  EXPECT_LT(charge.asymptote(), 3.05);
-  EXPECT_GT(charge.asymptote(), charge.voltage_at(horizon));
+  // The asymptote (reached once the transient has vanished) sits strictly
+  // below the source (the bleed drops some of it) and the trajectory
+  // approaches it from below.
+  const Volts v_inf = charge.voltage_at(10.0);
+  EXPECT_LT(v_inf, 3.05);
+  EXPECT_GT(v_inf, charge.voltage_at(horizon));
 }
 
 /// Numeric reference for the rising inverse: bisection on the closed-form
 /// trajectory itself.
-Seconds bisect_time_to_climb(const circuit::ChargeSolution& charge, Volts v,
+Seconds bisect_time_to_climb(const circuit::AffineSolution& charge, Volts v,
                              Seconds hi) {
   Seconds lo = 0.0;
   for (int i = 0; i < 200; ++i) {
@@ -271,8 +283,8 @@ Seconds bisect_time_to_climb(const circuit::ChargeSolution& charge, Volts v,
 TEST(ChargeSolution, TimeToReachMatchesNumericRootFindingAndEdgeCases) {
   circuit::SupplyNode node(47e-6);
   node.set_bleed(3000.0);
-  const circuit::ChargeSolution charge = node.charge_from(0.0, 3.05, 50.0, 0.05e-6);
-  const Volts v_inf = charge.asymptote();
+  const circuit::AffineSolution charge = node.affine_from(0.0, 0.05e-6, 3.05, 0.0, 50.0);
+  const Volts v_inf = charge.voltage_at(10.0);  // the asymptote
   for (const Volts v : {0.5, 1.8, 2.0, 2.5, v_inf * 0.999}) {
     const Seconds analytic = charge.time_to_reach(v);
     const Seconds numeric = bisect_time_to_climb(charge, v, 1.0);
@@ -284,8 +296,8 @@ TEST(ChargeSolution, TimeToReachMatchesNumericRootFindingAndEdgeCases) {
   EXPECT_TRUE(std::isinf(charge.time_to_reach(3.05)));   // beyond it: never
 
   // Sagging direction (started above the equilibrium): monotone down.
-  const circuit::ChargeSolution sag = node.charge_from(2.9, 1.0, 50.0, 0.0);
-  EXPECT_LT(sag.asymptote(), 2.9);
+  const circuit::AffineSolution sag = node.affine_from(2.9, 0.0, 1.0, 0.0, 50.0);
+  EXPECT_LT(sag.voltage_at(10.0), 2.9);
   EXPECT_DOUBLE_EQ(sag.time_to_reach(2.9), 0.0);
   const Seconds down = sag.time_to_reach(1.5);
   EXPECT_GT(down, 0.0);
@@ -298,11 +310,12 @@ TEST(ChargeSolution, LedgerDerivedHarvestIsExact) {
   // rounding.
   circuit::SupplyNode node(22e-6);
   node.set_bleed(5000.0);
-  const circuit::ChargeSolution charge = node.charge_from(0.2, 3.0, 100.0, 2e-6);
+  const circuit::AffineSolution charge = node.affine_from(0.2, 2e-6, 3.0, 0.0, 100.0);
   const Seconds span = 4e-3;
   const Volts v1 = charge.voltage_at(span);
   const Joules delta = 0.5 * 22e-6 * (v1 * v1 - 0.2 * 0.2);
-  const Joules harvested = delta + charge.load_energy(span) + charge.bleed_energy(span);
+  const Joules harvested =
+      delta + 2e-6 * charge.integral(span) + charge.square_integral(span) / 5000.0;
   double input = 0.0;  // numeric int i_in * V dt
   double v = 0.2;
   const double h = 1e-7;
@@ -316,7 +329,7 @@ TEST(ChargeSolution, LedgerDerivedHarvestIsExact) {
 }
 
 // --------------------------------------------------- LinearRampSolution ---
-// The affine-source closed form behind ramp spans: C dV/dt =
+// The closed form in its affine-source regime: C dV/dt =
 // (Vs0 + m*t - V)/Rs - V/Rb - I.
 
 TEST(LinearRampSolution, MatchesNumericalIntegrationWithBleedAndLoad) {
@@ -324,8 +337,7 @@ TEST(LinearRampSolution, MatchesNumericalIntegrationWithBleedAndLoad) {
   node.set_bleed(3000.0);
   // A sine-arc chord: source ramping 2.8 -> 3.4 V over the window through
   // 50 ohm into the bled node with the sleep draw.
-  const circuit::LinearRampSolution ramp =
-      node.ramp_from(0.4, 2.8, 100.0, 50.0, 1.5e-6);
+  const circuit::AffineSolution ramp = node.affine_from(0.4, 1.5e-6, 2.8, 100.0, 50.0);
 
   double v = 0.4;
   double load_energy = 0.0, bleed_energy = 0.0;
@@ -340,17 +352,25 @@ TEST(LinearRampSolution, MatchesNumericalIntegrationWithBleedAndLoad) {
     v += (i_in - i_bleed - i_load) / 47e-6 * h;
   }
   EXPECT_NEAR(ramp.voltage_at(horizon), v, 1e-4);
-  EXPECT_NEAR(ramp.load_energy(horizon), load_energy, 1e-11);
-  EXPECT_NEAR(ramp.bleed_energy(horizon), bleed_energy,
+  EXPECT_NEAR(1.5e-6 * ramp.integral(horizon), load_energy, 1e-11);
+  EXPECT_NEAR(ramp.square_integral(horizon) / 3000.0, bleed_energy,
               1e-5 * bleed_energy + 1e-12);
-  // Zero slope must reduce to the constant-window charge solution exactly.
-  const circuit::LinearRampSolution flat =
-      node.ramp_from(0.4, 3.05, 0.0, 50.0, 1.5e-6);
-  const circuit::ChargeSolution charge = node.charge_from(0.4, 3.05, 50.0, 1.5e-6);
+  // Zero slope must reduce to the textbook RC charge
+  // v_inf + (v0 - v_inf) e^{-s/tau} and its integrals.
+  const circuit::AffineSolution flat = node.affine_from(0.4, 1.5e-6, 3.05, 0.0, 50.0);
+  const double g = 1.0 / 50.0 + 1.0 / 3000.0;
+  const Volts v_inf = (3.05 / 50.0 - 1.5e-6) / g;
+  const Seconds tau = 47e-6 / g;
   for (const Seconds s : {1e-4, 1e-3, 5e-3}) {
-    EXPECT_NEAR(flat.voltage_at(s), charge.voltage_at(s), 1e-9);
-    EXPECT_NEAR(flat.load_energy(s), charge.load_energy(s), 1e-13);
-    EXPECT_NEAR(flat.bleed_energy(s), charge.bleed_energy(s), 1e-12);
+    const double e1 = -std::expm1(-s / tau);
+    const double e2 = -std::expm1(-2.0 * s / tau);
+    const Volts dv = 0.4 - v_inf;
+    EXPECT_NEAR(flat.voltage_at(s), v_inf + dv * std::exp(-s / tau), 1e-9);
+    EXPECT_NEAR(1.5e-6 * flat.integral(s), 1.5e-6 * (v_inf * s + dv * tau * e1), 1e-13);
+    EXPECT_NEAR(flat.square_integral(s) / 3000.0,
+                (v_inf * v_inf * s + 2.0 * v_inf * dv * tau * e1 +
+                 dv * dv * 0.5 * tau * e2) / 3000.0,
+                1e-12);
   }
 }
 
@@ -359,12 +379,12 @@ TEST(LinearRampSolution, LedgerDerivedHarvestIsExact) {
   // int i_in * V dt: the residual must be pure rounding.
   circuit::SupplyNode node(22e-6);
   node.set_bleed(5000.0);
-  const circuit::LinearRampSolution ramp =
-      node.ramp_from(0.2, 3.0, -120.0, 100.0, 2e-6);
+  const circuit::AffineSolution ramp = node.affine_from(0.2, 2e-6, 3.0, -120.0, 100.0);
   const Seconds span = 4e-3;
   const Volts v1 = ramp.voltage_at(span);
   const Joules delta = 0.5 * 22e-6 * (v1 * v1 - 0.2 * 0.2);
-  const Joules harvested = delta + ramp.load_energy(span) + ramp.bleed_energy(span);
+  const Joules harvested =
+      delta + 2e-6 * ramp.integral(span) + ramp.square_integral(span) / 5000.0;
   double input = 0.0;  // numeric int i_in * V dt
   double v = 0.2;
   const double h = 1e-7;
@@ -380,7 +400,7 @@ TEST(LinearRampSolution, LedgerDerivedHarvestIsExact) {
 /// Numeric reference for the ramp inverse: dense forward scan for the
 /// first closed-form instant at or past the target (handles the
 /// non-monotone overshoot cases bisection-from-outside would miss).
-Seconds scan_time_to_reach(const circuit::LinearRampSolution& ramp, Volts v,
+Seconds scan_time_to_reach(const circuit::AffineSolution& ramp, Volts v,
                            Seconds t_max) {
   const Seconds h = t_max / 4e6;
   const bool from_below = ramp.voltage_at(0.0) < v;
@@ -395,8 +415,7 @@ TEST(LinearRampSolution, TimeToReachMatchesNumericScanAndEdgeCases) {
   circuit::SupplyNode node(47e-6);
   node.set_bleed(3000.0);
   // Rising ramp from below: monotone climb through every target.
-  const circuit::LinearRampSolution up =
-      node.ramp_from(0.5, 2.0, 300.0, 50.0, 1e-6);
+  const circuit::AffineSolution up = node.affine_from(0.5, 1e-6, 2.0, 300.0, 50.0);
   for (const Volts v : {1.0, 1.9, 2.5}) {
     const Seconds analytic = up.time_to_reach(v, 20e-3);
     const Seconds numeric = scan_time_to_reach(up, v, 20e-3);
@@ -412,8 +431,7 @@ TEST(LinearRampSolution, TimeToReachMatchesNumericScanAndEdgeCases) {
   // Falling source from a high node: the transient dips *through* targets
   // the endpoint pair would miss — the interior-extremum split must find
   // the first crossing, and the dip's floor must match min_voltage.
-  const circuit::LinearRampSolution dip =
-      node.ramp_from(3.0, 0.5, 400.0, 50.0, 0.5e-6);
+  const circuit::AffineSolution dip = node.affine_from(3.0, 0.5e-6, 0.5, 400.0, 50.0);
   const Seconds window = 30e-3;
   const Volts floor_v = dip.min_voltage(window);
   EXPECT_LT(floor_v, std::min(dip.voltage_at(0.0), dip.voltage_at(window)));
@@ -437,14 +455,13 @@ TEST(LinearRampSolution, TimeToReachMatchesNumericScanAndEdgeCases) {
   }
   EXPECT_NEAR(dip.min_voltage(window), lo, 1e-8);
   EXPECT_NEAR(dip.max_voltage(window), hi, 1e-8);
-  EXPECT_NEAR(dip.min_source_margin(window), margin, 1e-6);
+  EXPECT_NEAR(dip.min_margin_below(0.5, 400.0, window), margin, 1e-6);
 }
 
 TEST(ComparatorBank, PlanRampCrossingUsesBandEntryOnBothEdges) {
   circuit::SupplyNode node(47e-6);
   node.set_bleed(3000.0);
-  const circuit::LinearRampSolution up =
-      node.ramp_from(0.5, 2.0, 300.0, 50.0, 1e-6);
+  const circuit::AffineSolution up = node.affine_from(0.5, 1e-6, 2.0, 300.0, 50.0);
 
   circuit::ComparatorBank bank;
   bank.add(circuit::Comparator("VR", 2.5, 0.0));
@@ -452,62 +469,61 @@ TEST(ComparatorBank, PlanRampCrossingUsesBandEntryOnBothEdges) {
   bank.reset(0.5);  // both outputs low: armed for rising trips
 
   const Volts pad = 1e-4;
-  Volts trip = 0.0;
-  const Seconds t = bank.plan_ramp_crossing(up, pad, 20e-3, &trip);
-  ASSERT_TRUE(std::isfinite(t));
-  EXPECT_DOUBLE_EQ(trip, 2.0);  // the rise enters VH's band first
+  const circuit::Crossing rise = bank.plan_crossing(up, pad, 20e-3);
+  ASSERT_TRUE(std::isfinite(rise.time));
+  EXPECT_DOUBLE_EQ(rise.trip, 2.0);  // the rise enters VH's band first
   // Band entry from below: the first instant the trajectory reaches
   // trip - pad, which bounds every possible fire from below.
-  EXPECT_NEAR(t, up.time_to_reach(2.0 - pad, 20e-3), 1e-12);
-  EXPECT_LE(up.voltage_at(t), 2.0 - pad + 1e-9);
+  EXPECT_NEAR(rise.time, up.time_to_reach(2.0 - pad, 20e-3), 1e-12);
+  EXPECT_LE(up.voltage_at(rise.time), 2.0 - pad + 1e-9);
 
   // A ramp already inside a band cannot certify any span: entry now.
-  const circuit::LinearRampSolution inside =
-      node.ramp_from(2.0, 2.6, 100.0, 50.0, 1e-6);
-  EXPECT_DOUBLE_EQ(bank.plan_ramp_crossing(inside, pad, 20e-3, &trip), 0.0);
+  const circuit::AffineSolution inside = node.affine_from(2.0, 1e-6, 2.6, 100.0, 50.0);
+  EXPECT_DOUBLE_EQ(bank.plan_crossing(inside, pad, 20e-3).time, 0.0);
 
   // Output state does not disarm a trip on a non-monotone ramp: a high
   // output watches its *falling* trip even while the source ramps upward.
   circuit::ComparatorBank high;
   high.add(circuit::Comparator("VH", 2.0, 0.0));
   high.reset(3.0);  // output high: armed falling
-  const circuit::LinearRampSolution sag =
-      node.ramp_from(3.0, 0.5, 400.0, 50.0, 0.5e-6);
-  const Seconds fall = high.plan_ramp_crossing(sag, pad, 30e-3, &trip);
-  ASSERT_TRUE(std::isfinite(fall));
-  EXPECT_DOUBLE_EQ(trip, 2.0);
-  EXPECT_NEAR(fall, sag.time_to_reach(2.0 + pad, 30e-3), 1e-12);
+  const circuit::AffineSolution sag = node.affine_from(3.0, 0.5e-6, 0.5, 400.0, 50.0);
+  const circuit::Crossing fall = high.plan_crossing(sag, pad, 30e-3);
+  ASSERT_TRUE(std::isfinite(fall.time));
+  EXPECT_DOUBLE_EQ(fall.trip, 2.0);
+  EXPECT_NEAR(fall.time, sag.time_to_reach(2.0 + pad, 30e-3), 1e-12);
 }
 
 TEST(ComparatorBank, PlanRisingCrossingFindsTheLowestArmedTrip) {
   circuit::SupplyNode node(47e-6);
   node.set_bleed(3000.0);
-  const circuit::ChargeSolution charge = node.charge_from(0.5, 3.05, 50.0, 1e-6);
+  const circuit::AffineSolution charge = node.affine_from(0.5, 1e-6, 3.05, 0.0, 50.0);
+  const Seconds forever = std::numeric_limits<Seconds>::infinity();
 
   circuit::ComparatorBank bank;
   bank.add(circuit::Comparator("VR", 2.5, 0.0));
   bank.add(circuit::Comparator("VH", 2.0, 0.0));
   bank.reset(0.5);  // both outputs low: armed for rising trips
 
-  Volts trip = 0.0;
-  const Seconds t = bank.plan_rising_crossing(charge, &trip);
-  EXPECT_DOUBLE_EQ(trip, 2.0);  // the rise hits VH first
-  EXPECT_NEAR(t, charge.time_to_reach(2.0), 1e-12);
+  const circuit::Crossing first = bank.plan_crossing(charge, 0.0, forever);
+  EXPECT_DOUBLE_EQ(first.trip, 2.0);  // the rise hits VH first
+  EXPECT_NEAR(first.time, charge.time_to_reach(2.0), 1e-12);
 
   // Fire VH (output high): the next rising crossing is VR.
   (void)bank.at(1).update(1.9, 0.0, 2.1, 1.0);
-  const Seconds t2 = bank.plan_rising_crossing(charge, &trip);
-  EXPECT_DOUBLE_EQ(trip, 2.5);
-  EXPECT_NEAR(t2, charge.time_to_reach(2.5), 1e-12);
+  const circuit::Crossing second = bank.plan_crossing(charge, 0.0, forever);
+  EXPECT_DOUBLE_EQ(second.trip, 2.5);
+  EXPECT_NEAR(second.time, charge.time_to_reach(2.5), 1e-12);
 
   // A rise starting above every armed trip can never fire them; and a trip
   // beyond the asymptote is never reached.
   bank.reset(2.6);
-  EXPECT_TRUE(std::isinf(bank.plan_rising_crossing(node.charge_from(2.6, 3.05, 50.0, 1e-6))));
+  EXPECT_TRUE(std::isinf(
+      bank.plan_crossing(node.affine_from(2.6, 1e-6, 3.05, 0.0, 50.0), 0.0, forever)
+          .time));
   circuit::ComparatorBank high_bank;
   high_bank.add(circuit::Comparator("HI", 3.2, 0.0));
   high_bank.reset(0.5);
-  EXPECT_TRUE(std::isinf(high_bank.plan_rising_crossing(charge)));
+  EXPECT_TRUE(std::isinf(high_bank.plan_crossing(charge, 0.0, forever).time));
 }
 
 // ------------------------------------------------- charge-span certs ------
@@ -1344,7 +1360,7 @@ TEST(SleepSpan, GovernedSleepRunStaysLockStep) {
 // --------------------------------------------- charge-span macro tests ----
 // The charge-span planner: certified piecewise-constant driver windows
 // jump MCU-off/wait/sleep/done charging ramps to the analytic power-on /
-// rising-comparator crossing (circuit::ChargeSolution).
+// rising-comparator crossing (circuit::AffineSolution).
 
 /// The Fig 7 design point fed 50 ms DC bursts every 5 s (the charge-ramp
 /// survey, shortened and with bursts too short to finish the FFT in one
@@ -1377,47 +1393,6 @@ TEST(ChargeSpan, Fig7ChargeRampEventSequenceAndLedgerAgree) {
   EXPECT_EQ(fine.result.nvm_commits, macro.result.nvm_commits);
   // Charge spans book real harvested energy; the ledger must still close.
   ASSERT_GT(macro.result.harvested, 0.0);
-}
-
-TEST(ChargeSpan, DisablingTheFlagStillAgreesAndIsReallySlowerPathed) {
-  // charge_spans=false under macro_stepping must fall back to decay-only
-  // planning: same accuracy contract, strictly fewer span steps (the
-  // charging ramps run finely again) — the ablation knob works.
-  auto log = std::make_shared<EventLog>();
-  spec::SystemSpec s = charge_ramp_spec(log);
-  s.sim.macro_stepping = true;
-  auto with_system = spec::instantiate(s);
-  const auto with_spans = with_system.run();
-  s.sim.charge_spans = false;
-  auto without_system = spec::instantiate(s);
-  const auto without_spans = without_system.run();
-  EXPECT_EQ(with_spans.mcu.boots, without_spans.mcu.boots);
-  EXPECT_EQ(with_spans.mcu.saves_completed, without_spans.mcu.saves_completed);
-  EXPECT_GT(with_spans.span_steps, without_spans.span_steps);
-}
-
-TEST(ChargeSpan, FlagOffFineRunStaysBitIdentical) {
-  // Without macro_stepping the charge_spans flag must never be read: the
-  // fine path over the charge-heavy scenario is bit-identical whichever
-  // way it is set.
-  auto run_fine = [](bool charge_spans) {
-    auto log = std::make_shared<EventLog>();
-    spec::SystemSpec s = charge_ramp_spec(log);
-    s.sim.macro_stepping = false;
-    s.sim.charge_spans = charge_spans;
-    auto system = spec::instantiate(s);
-    return system.run();
-  };
-  const auto on = run_fine(true);
-  const auto off = run_fine(false);
-  EXPECT_EQ(on.end_time, off.end_time);
-  EXPECT_EQ(on.harvested, off.harvested);
-  EXPECT_EQ(on.consumed, off.consumed);
-  EXPECT_EQ(on.dissipated, off.dissipated);
-  EXPECT_EQ(on.stored_final, off.stored_final);
-  EXPECT_EQ(on.fine_steps, off.fine_steps);
-  EXPECT_EQ(on.mcu.boots, off.mcu.boots);
-  EXPECT_EQ(on.mcu.saves_completed, off.mcu.saves_completed);
 }
 
 // ----------------------------------------------- wind-survey macro tests --

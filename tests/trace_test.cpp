@@ -315,6 +315,55 @@ TEST(Csv, RejectsNonUniform) {
   EXPECT_THROW(read_csv(buffer), std::invalid_argument);
 }
 
+TEST(Csv, LongTraceRoundTripsBitExactly) {
+  // 400,001 samples over 20 s: printed with too few digits, neighbouring
+  // timestamps collide and the reader rejects the file as non-uniform.
+  const auto wave = Waveform::sample([](Seconds t) { return std::sin(7.0 * t); }, 0.0,
+                                     20.0, 400001);
+  std::stringstream buffer;
+  write_csv(buffer, "v", wave);
+  const auto back = read_csv(buffer);
+  EXPECT_EQ(back.t0(), wave.t0());
+  EXPECT_EQ(back.dt(), wave.dt());
+  EXPECT_EQ(back.samples(), wave.samples());
+}
+
+TEST(Csv, RoundTripKeepsFullPrecision) {
+  const Waveform wave(0.0, 0.5, {0.1234567891, -2.5e-17, 1.0 / 3.0});
+  std::stringstream buffer;
+  write_csv(buffer, "v", wave);
+  EXPECT_EQ(read_csv(buffer).samples(), wave.samples());
+}
+
+/// read_csv's error message for `text`, or "" when it parses.
+std::string csv_error(const std::string& text) {
+  std::stringstream buffer(text);
+  try {
+    (void)read_csv(buffer);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Csv, RejectsTruncatedLastRowNamingIt) {
+  const std::string error = csv_error("time,v\n0,1\n1,2\n2,3\n3\n");
+  EXPECT_NE(error.find("row 5"), std::string::npos) << error;
+}
+
+TEST(Csv, RejectsPartlyNumericValues) {
+  const std::string error = csv_error("0,1\n1,2\n2,3x\n");
+  EXPECT_NE(error.find("row 3"), std::string::npos) << error;
+  EXPECT_NE(csv_error("0,1\n1,\n2,3\n"), "");
+}
+
+TEST(Csv, AcceptsSurroundingWhitespaceAndCrlf) {
+  std::stringstream buffer("time,v\r\n0,1\r\n1, 2 \r\n2,3\t\r\n");
+  const auto wave = read_csv(buffer);
+  EXPECT_EQ(wave.samples(), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(wave.dt(), 1.0);
+}
+
 TEST(TraceSet, FindByName) {
   TraceSet set;
   set.add("vcc", Waveform::sample([](Seconds) { return 1.0; }, 0.0, 1.0, 2));
