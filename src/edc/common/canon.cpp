@@ -1,6 +1,7 @@
 #include "edc/common/canon.h"
 
 #include <charconv>
+#include <limits>
 
 namespace edc::canon {
 
@@ -38,6 +39,15 @@ std::int64_t parse_i64(std::string_view text) {
     throw FormatError("malformed integer: '" + std::string(text) + "'");
   }
   return v;
+}
+
+std::size_t checked_count(std::uint64_t count, std::size_t lines_left,
+                          std::string_view key) {
+  if (count > lines_left) {
+    throw FormatError("count " + std::to_string(count) + " on '" + std::string(key) +
+                      "' exceeds the " + std::to_string(lines_left) + " lines left");
+  }
+  return static_cast<std::size_t>(count);
 }
 
 // ---- string escaping ------------------------------------------------------
@@ -197,12 +207,21 @@ std::string_view Reader::begin_tagged(std::string_view key) {
   return tag;
 }
 
+std::size_t Reader::begin_counted(std::string_view key) {
+  const std::uint64_t count = parse_u64(begin_tagged(key));
+  return checked_count(count, lines_.size() - pos_, key);
+}
+
 void Reader::end() { --depth_; }
 
 double Reader::number(std::string_view key) { return parse_double(require_value(key)); }
 std::uint64_t Reader::u64(std::string_view key) { return parse_u64(require_value(key)); }
 int Reader::integer(std::string_view key) {
-  return static_cast<int>(parse_i64(require_value(key)));
+  const std::int64_t v = parse_i64(require_value(key));
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    throw FormatError("integer out of range on field '" + std::string(key) + "'");
+  }
+  return static_cast<int>(v);
 }
 
 bool Reader::boolean(std::string_view key) {

@@ -38,6 +38,13 @@ class FormatError : public std::invalid_argument {
 [[nodiscard]] std::uint64_t parse_u64(std::string_view text);
 [[nodiscard]] std::int64_t parse_i64(std::string_view text);
 
+/// Validates an element count read from untrusted text against the
+/// `lines_left` still unread: every element takes at least one line, so a
+/// larger count is malformed (and must not size an allocation). Returns
+/// the count; throws FormatError naming `key` otherwise.
+[[nodiscard]] std::size_t checked_count(std::uint64_t count,
+                                        std::size_t lines_left, std::string_view key);
+
 /// C-style quoting for arbitrary byte strings (\" \\ \n \r \t, \xHH for
 /// other control bytes) and its inverse.
 [[nodiscard]] std::string quote(std::string_view raw);
@@ -80,10 +87,14 @@ class Reader {
   void begin(std::string_view key);
   /// Consumes `key tag` and indents; returns the tag.
   std::string_view begin_tagged(std::string_view key);
+  /// Consumes a counted section header `key <n>` and indents; returns n,
+  /// which checked_count() has bounded by the lines left.
+  std::size_t begin_counted(std::string_view key);
   void end();
 
   [[nodiscard]] double number(std::string_view key);
   [[nodiscard]] std::uint64_t u64(std::string_view key);
+  /// An int field; values outside int's range are malformed.
   [[nodiscard]] int integer(std::string_view key);
   [[nodiscard]] bool boolean(std::string_view key);
   [[nodiscard]] std::size_t size_value(std::string_view key);

@@ -3,23 +3,22 @@
 //
 // The sweep runner groups grid points whose source/front-end/lattice axes
 // agree structurally (sweep/batch.h); each group becomes one BatchKernel.
-// Per step the kernel gathers the lanes' node state into contiguous
-// structure-of-arrays blocks, advances the node ODE for all of them with
-// one shared source evaluation per substep instant
+// Each lane is a sim::Lane, the same stepper Simulator::run drives. Per
+// step the kernel gathers the fine-stepping lanes' node state into
+// contiguous structure-of-arrays blocks, advances the node ODE for all of
+// them with one shared source evaluation per substep instant
 // (circuit::SupplyNode::step_lanes — the vectorizable inner loop), then
-// replays the scalar simulator loop's post-step sequence per lane in its
-// exact order: supply events, MCU advance, governor, transition recording,
-// probes, termination. Everything discrete stays scalar per lane, so each
-// lane's SimResult is bit-identical to Simulator::run() on the same system
-// — the contract tests/batch_diff_test.cpp holds across every source and
-// policy family.
+// hands each lane its step energy through Lane::finish_fine_step.
+// Everything discrete stays scalar per lane, so each lane's SimResult is
+// bit-identical to Simulator::run() on the same system — the contract
+// tests/batch_diff_test.cpp holds across every source and policy family.
 //
 // Lanes diverge: the quiescent engine jumps one lane over a span while its
 // neighbours fine-step, and lanes finish at different times (t_end and
 // stop_on_completion are per-lane). The kernel handles both by lockstep
 // compaction: each round it advances only the lanes at the *minimum*
 // lattice step; span-jumped lanes simply wait (masked out) until the rest
-// catch up, and finished lanes are peeled out of the working set. A lane
+// catch up, and finished lanes drop out of the working set. A lane
 // whose planner keeps it permanently ahead costs nothing but its plan()
 // calls.
 #pragma once
@@ -32,13 +31,12 @@
 #include "edc/common/units.h"
 #include "edc/mcu/hooks.h"
 #include "edc/mcu/mcu.h"
-#include "edc/sim/quiescent_engine.h"
 #include "edc/sim/simulator.h"
 
 namespace edc::sim {
 
 /// One lane of a batch: the wired parts of a single system, non-owning (the
-/// caller keeps the systems alive — sweep::run_batched holds the
+/// caller keeps the systems alive — the sweep Runner holds the
 /// instantiated core::EnergyDrivenSystem per lane). All lanes of one kernel
 /// must share dt, node_substeps, and a structurally identical batchable
 /// driver (the grouping contract enforced by sweep::batch_group_key);
@@ -64,19 +62,6 @@ class BatchKernel {
   std::vector<SimResult> run();
 
  private:
-  struct LaneState;
-
-  /// Books one planned quiescent span on a lane — probe replay, time and
-  /// energy booking, lattice jump — exactly as the scalar loop does.
-  void book_span(LaneState& lane, const QuiescentSpan& span) const;
-
-  /// The scalar loop's post-step sequence for one lane that just took a
-  /// fine step ending at voltage `v_now`.
-  void post_step(LaneState& lane, Volts v_now);
-
-  /// End-of-run bookkeeping: totals, probe waveforms, final snapshots.
-  void finalize(LaneState& lane) const;
-
   std::vector<BatchLane> lanes_;
 };
 

@@ -1,5 +1,6 @@
 #include "edc/sim/result_io.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -52,7 +53,10 @@ void write_waveform(Writer& w, const trace::Waveform& wave) {
 trace::Waveform read_waveform(Reader& r) {
   const Seconds t0 = r.number("t0");
   const Seconds dt = r.number("dt");
-  const std::size_t count = canon::parse_u64(r.begin_tagged("samples"));
+  const std::size_t count = r.begin_counted("samples");
+  if (count >= 2 && !(dt > 0.0)) {
+    throw FormatError("waveform sample spacing must be positive");
+  }
   std::vector<double> samples;
   samples.reserve(count);
   for (std::size_t i = 0; i < count; ++i) samples.push_back(r.bare_number());
@@ -184,7 +188,7 @@ SimResult parse_result(const std::string& text) {
   m.completion_time = r.number("completion_time");
   r.end();
 
-  const std::size_t transition_count = canon::parse_u64(r.begin_tagged("transitions"));
+  const std::size_t transition_count = r.begin_counted("transitions");
   result.transitions.reserve(transition_count);
   for (std::size_t i = 0; i < transition_count; ++i) {
     StateChange change;
@@ -199,7 +203,7 @@ SimResult parse_result(const std::string& text) {
   }
   r.end();
 
-  const std::size_t probe_count = canon::parse_u64(r.begin_tagged("probes"));
+  const std::size_t probe_count = r.begin_counted("probes");
   for (std::size_t i = 0; i < probe_count; ++i) {
     r.begin("probe");
     std::string name = r.text("name");
@@ -251,13 +255,18 @@ FleetResult parse_fleet_result(const std::string& text) {
   if (magic != "edc.FleetResult v" + std::to_string(kFleetResultFormatVersion)) {
     throw FormatError("unsupported fleet result header: '" + magic + "'");
   }
-  const std::uint64_t node_count = prefixed_u64(read_line(), "nodes ");
+  // Every node block starts with its own node_bytes line.
+  const std::size_t node_count = canon::checked_count(
+      prefixed_u64(read_line(), "nodes "),
+      static_cast<std::size_t>(std::count(text.begin() + static_cast<std::ptrdiff_t>(pos),
+                                          text.end(), '\n')),
+      "nodes");
 
   FleetResult result;
   result.nodes.reserve(node_count);
-  for (std::uint64_t i = 0; i < node_count; ++i) {
+  for (std::size_t i = 0; i < node_count; ++i) {
     const std::uint64_t length = prefixed_u64(read_line(), "node_bytes ");
-    if (pos + length > text.size()) {
+    if (length > text.size() - pos) {
       throw FormatError("fleet result truncated inside node block " +
                         std::to_string(i));
     }

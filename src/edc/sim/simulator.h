@@ -10,6 +10,11 @@
 //   4. run the governor at its control period;
 //   5. record probes / state transitions.
 //
+// Steps 2-5, the quiescent spans that replace whole runs of fine steps,
+// and all per-run bookkeeping live in one sim::Lane (sim/lane.h), which
+// Simulator::run drives with the scalar node step and sim::BatchKernel
+// with the SoA node step.
+//
 // The node energy ledger (harvested/consumed/stored) is exactly conserved
 // by construction, which the property tests rely on.
 #pragma once
@@ -121,9 +126,6 @@ class Simulator {
   SimResult run();
 
  private:
-  template <bool kProbing, bool kGoverned>
-  void run_loop(SimResult& result);
-
   SimConfig config_;
   circuit::SupplyNode* node_;
   const circuit::SupplyDriver* driver_;

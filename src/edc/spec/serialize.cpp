@@ -1,6 +1,8 @@
 #include "edc/spec/serialize.h"
 
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -8,7 +10,6 @@ namespace edc::spec {
 
 namespace {
 
-using canon::parse_u64;
 using canon::Reader;
 using canon::Writer;
 
@@ -84,7 +85,10 @@ trace::Waveform read_waveform(Reader& r) {
   r.begin("wave");
   const Seconds t0 = r.number("t0");
   const Seconds dt = r.number("dt");
-  const std::size_t count = parse_u64(r.begin_tagged("samples"));
+  const std::size_t count = r.begin_counted("samples");
+  if (count >= 2 && !(dt > 0.0)) {
+    throw SpecFormatError("waveform sample spacing must be positive");
+  }
   std::vector<double> samples;
   samples.reserve(count);
   for (std::size_t i = 0; i < count; ++i) samples.push_back(r.bare_number());
@@ -623,7 +627,7 @@ SystemSpec read_spec_body(Reader& r) {
     g.v_ref = r.number("v_ref");
     g.band = r.number("band");
     g.period = r.number("period");
-    const std::size_t count = parse_u64(r.begin_tagged("frequencies"));
+    const std::size_t count = r.begin_counted("frequencies");
     g.frequencies.clear();
     g.frequencies.reserve(count);
     for (std::size_t i = 0; i < count; ++i) g.frequencies.push_back(r.bare_number());
@@ -810,7 +814,7 @@ FleetSpec parse_fleet(const std::string& text) {
   }
 
   FleetSpec fleet;
-  const std::size_t node_count = parse_u64(r.begin_tagged("nodes"));
+  const std::size_t node_count = r.begin_counted("nodes");
   fleet.nodes.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
     const std::string_view index = r.begin_tagged("node");
@@ -835,11 +839,11 @@ FleetSpec parse_fleet(const std::string& text) {
     rf.horizon = r.number("horizon");
     rf.window_period = r.number("window_period");
     rf.window_duty = r.number("window_duty");
-    const std::size_t gain_count = parse_u64(r.begin_tagged("gains"));
+    const std::size_t gain_count = r.begin_counted("gains");
     rf.gains.reserve(gain_count);
     for (std::size_t i = 0; i < gain_count; ++i) rf.gains.push_back(r.bare_number());
     r.end();
-    const std::size_t phase_count = parse_u64(r.begin_tagged("phases"));
+    const std::size_t phase_count = r.begin_counted("phases");
     rf.phases.reserve(phase_count);
     for (std::size_t i = 0; i < phase_count; ++i) rf.phases.push_back(r.bare_number());
     r.end();
@@ -851,7 +855,13 @@ FleetSpec parse_fleet(const std::string& text) {
 
   r.end();
   r.finish();
-  validate_fleet(fleet);
+  // A parser reports every malformed input as a format error, including
+  // text that is well-formed but describes an invalid fleet.
+  try {
+    validate_fleet(fleet);
+  } catch (const std::invalid_argument& error) {
+    throw SpecFormatError(std::string("invalid fleet: ") + error.what());
+  }
   return fleet;
 }
 

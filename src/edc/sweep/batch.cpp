@@ -1,45 +1,11 @@
 #include "edc/sweep/batch.h"
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <exception>
-#include <map>
-#include <mutex>
-#include <thread>
-#include <utility>
 #include <variant>
 
-#include "edc/core/system.h"
-#include "edc/sim/batch_kernel.h"
 #include "edc/spec/serialize.h"
-#include "edc/sweep/cache.h"
 
 namespace edc::sweep {
-
-namespace {
-
-/// One schedulable unit: either a lockstep chunk (>= 1 lane through the
-/// kernel) or a single scalar-fallback point.
-struct WorkUnit {
-  std::vector<BatchPointRef> refs;
-  bool batch = false;
-};
-
-/// Worker-pool size for `unit_count` units (mirrors Runner::thread_count).
-int pool_size(const RunnerOptions& options, std::size_t unit_count) {
-  int threads = options.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  if (unit_count < static_cast<std::size_t>(threads)) {
-    threads = static_cast<int>(unit_count);
-  }
-  return threads < 1 ? 1 : threads;
-}
-
-}  // namespace
 
 std::vector<double> amortize_lane_micros(double wall_micros, std::size_t lanes) {
   if (lanes == 0) return {};
@@ -72,167 +38,6 @@ std::optional<std::string> batch_group_key(const spec::SystemSpec& spec) {
   key.sim.node_substeps = spec.sim.node_substeps;
   if (!spec::is_cacheable(key)) return std::nullopt;
   return spec::serialize(key);
-}
-
-void run_batched(const Grid& grid, const std::vector<BatchPointRef>& points,
-                 const RunnerOptions& options, const ScalarPointFn& scalar_point,
-                 std::vector<sim::SimResult>& rows, RunReport* report) {
-  Cache* cache = options.cache;
-  const auto record = [report](std::size_t slot, double cost, char source,
-                               char from) {
-    if (report == nullptr) return;
-    report->micros[slot] = cost;
-    report->provenance[slot] = source;
-    report->origin[slot] = from;
-  };
-
-  // Phase 1 (serial, cheap): resolve warm cache points, partition the rest
-  // into lockstep groups / scalar fallbacks. std::map keeps group order —
-  // and therefore chunk boundaries and cache stores — deterministic.
-  std::map<std::string, std::vector<BatchPointRef>> groups;
-  std::vector<BatchPointRef> scalar_refs;
-  for (const BatchPointRef& ref : points) {
-    const Point point = grid.point(ref.global_index);
-    if (cache != nullptr && spec::is_cacheable(point.spec)) {
-      if (auto cached = cache->load(spec::serialize(point.spec))) {
-        rows[ref.slot] = std::move(cached->result);
-        record(ref.slot, cached->micros, cached->provenance, kOriginWarm);
-        continue;
-      }
-    }
-    if (auto key = batch_group_key(point.spec)) {
-      groups[*key].push_back(ref);
-    } else {
-      scalar_refs.push_back(ref);
-    }
-  }
-
-  // Phase 2: chunk each group into <= batch_lanes lanes (balanced, so a
-  // trailing chunk is never starved down to one lane unless the group
-  // itself is tiny). Singleton groups gain nothing from the kernel — they
-  // take the scalar path and keep scalar provenance.
-  std::vector<WorkUnit> units;
-  const auto lane_cap = static_cast<std::size_t>(
-      options.batch_lanes > 1 ? options.batch_lanes : 1);
-  for (auto& [key, refs] : groups) {
-    (void)key;
-    if (refs.size() < 2 || lane_cap < 2) {
-      scalar_refs.insert(scalar_refs.end(), refs.begin(), refs.end());
-      continue;
-    }
-    const std::size_t n = refs.size();
-    const std::size_t chunks = (n + lane_cap - 1) / lane_cap;
-    const std::size_t base = n / chunks;
-    const std::size_t extra = n % chunks;
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t size = base + (c < extra ? 1 : 0);
-      WorkUnit unit;
-      unit.batch = true;
-      unit.refs.assign(refs.begin() + static_cast<std::ptrdiff_t>(begin),
-                       refs.begin() + static_cast<std::ptrdiff_t>(begin + size));
-      units.push_back(std::move(unit));
-      begin += size;
-    }
-  }
-  for (const BatchPointRef& ref : scalar_refs) {
-    WorkUnit unit;
-    unit.refs.push_back(ref);
-    units.push_back(std::move(unit));
-  }
-  if (units.empty()) return;
-
-  // Phase 3: execute the units across the worker pool. Units write
-  // disjoint slots, so rows are bit-identical at any thread count.
-  const auto execute_unit = [&](const WorkUnit& unit) {
-    if (!unit.batch) {
-      const BatchPointRef& ref = unit.refs.front();
-      const Point point = grid.point(ref.global_index);
-      double cost = 0.0;
-      char source = kProvenanceScalar;
-      char from = kOriginFresh;
-      rows[ref.slot] = scalar_point(point, cost, source, from);
-      record(ref.slot, cost, source, from);
-      return;
-    }
-
-    const auto start = std::chrono::steady_clock::now();
-    // Instantiate every lane's fresh system, then wire the non-owning lane
-    // table (pointers are taken only after the vector stops growing).
-    std::vector<core::EnergyDrivenSystem> systems;
-    systems.reserve(unit.refs.size());
-    for (const BatchPointRef& ref : unit.refs) {
-      systems.push_back(spec::instantiate(grid.point(ref.global_index).spec));
-    }
-    std::vector<sim::BatchLane> lanes;
-    lanes.reserve(systems.size());
-    for (core::EnergyDrivenSystem& system : systems) {
-      sim::BatchLane lane;
-      lane.config = system.sim_config();
-      lane.node = &system.node();
-      lane.driver = &system.driver();
-      lane.mcu = &system.mcu();
-      lane.governor = system.governor();
-      lanes.push_back(lane);
-    }
-    std::vector<sim::SimResult> results = sim::BatchKernel(std::move(lanes)).run();
-    // Amortized lane cost: the chunk's wall time split evenly — the point's
-    // marginal cost under *batched* re-execution, which is what a batched
-    // shard plan should weigh — with the sub-lane remainder distributed so
-    // the recorded costs sum back to the measured wall time (see
-    // amortize_lane_micros; a plain wall/n split drifts timing-CSV totals
-    // by up to lanes-1 us per chunk). The provenance contract in the header
-    // says why these must not silently mix with scalar timings.
-    const double wall = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    const std::vector<double> per_lane =
-        amortize_lane_micros(wall, unit.refs.size());
-    for (std::size_t k = 0; k < unit.refs.size(); ++k) {
-      const BatchPointRef& ref = unit.refs[k];
-      if (cache != nullptr) {
-        const Point point = grid.point(ref.global_index);
-        if (spec::is_cacheable(point.spec)) {
-          cache->store(spec::serialize(point.spec), results[k], per_lane[k],
-                       kProvenanceBatch);
-        }
-      }
-      rows[ref.slot] = std::move(results[k]);
-      record(ref.slot, per_lane[k], kProvenanceBatch, kOriginFresh);
-    }
-  };
-
-  const int threads = pool_size(options, units.size());
-  if (threads == 1) {
-    for (const WorkUnit& unit : units) execute_unit(unit);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  auto worker = [&] {
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= units.size()) return;
-      try {
-        execute_unit(units[i]);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace edc::sweep

@@ -10,30 +10,25 @@
 // within a group. Points whose source cannot be shared (custom factories,
 // unset sources) get no key and take the scalar path unchanged.
 //
-// run_batched() is the Runner's batch execution strategy
-// (RunnerOptions::batch): resolve cache hits, group the rest, chunk groups
-// into <= batch_lanes lanes, and execute chunks through sim::BatchKernel —
-// with singleton groups and ungroupable points falling back to the
-// caller-supplied scalar simulation. Per-point results are bit-identical
-// to the scalar runner (tests/batch_diff_test.cpp); what changes is the
-// wall time and the *provenance* of the recorded cost: a batched point's
-// micros is the chunk's wall time amortized over its lanes, which is the
-// right weight for LPT sharding of a future batched run but must never be
-// silently mixed into a scalar shard plan — hence the provenance codes
-// below, carried through the cache (sweep/cache.h), the CSV reports
-// (sweep/report.h) and the shard-plan tooling (bench/eq5_crossover.cpp).
+// With RunnerOptions::batch the Runner groups a run's cache-cold points by
+// this key, chunks each group into <= batch_lanes lanes and executes the
+// chunks through sim::BatchKernel; singleton groups and ungroupable points
+// take the scalar path. Per-point results are bit-identical to the scalar
+// runner (tests/batch_diff_test.cpp); what changes is the wall time and the
+// *provenance* of the recorded cost: a batched point's micros is the
+// chunk's wall time amortized over its lanes, which is the right weight for
+// LPT sharding of a future batched run but must never be silently mixed
+// into a scalar shard plan — hence the provenance codes below, carried
+// through the cache (sweep/cache.h), the CSV reports (sweep/report.h) and
+// the shard-plan tooling (bench/eq5_crossover.cpp).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "edc/sim/simulator.h"
 #include "edc/spec/system_spec.h"
-#include "edc/sweep/grid.h"
-#include "edc/sweep/runner.h"
 
 namespace edc::sweep {
 
@@ -52,14 +47,6 @@ inline constexpr char kProvenanceBatch = 'b';   ///< SoA kernel, amortized lane 
 [[nodiscard]] std::optional<std::string> batch_group_key(
     const spec::SystemSpec& spec);
 
-/// One point of a batched execution: the grid point to simulate and the
-/// output slot its row/micros/provenance land in (callers pass their own
-/// slot mapping: identity for run(), strided for run_shard(), ...).
-struct BatchPointRef {
-  std::size_t global_index = 0;
-  std::size_t slot = 0;
-};
-
 /// Splits a lane group's measured wall time into per-lane amortized costs
 /// whose *sum reproduces the measurement* at microsecond resolution: each
 /// lane gets floor(total/n) whole microseconds and the first total%n lanes
@@ -71,23 +58,5 @@ struct BatchPointRef {
 /// when `lanes` is 0; negative measurements clamp to zero.
 [[nodiscard]] std::vector<double> amortize_lane_micros(double wall_micros,
                                                        std::size_t lanes);
-
-/// Scalar fallback used for cache-cold points that cannot batch: simulate
-/// `point`, report its wall-time cost, provenance and origin
-/// (kOriginFresh/kOriginWarm, see sweep/runner.h).
-using ScalarPointFn = std::function<sim::SimResult(
-    const Point& point, double& micros, char& provenance, char& origin)>;
-
-/// Executes `points` of `grid` under the batching strategy described above
-/// and writes each result into rows[ref.slot] (plus the matching
-/// report columns when `report` is non-null; rows and report must already
-/// be sized by the caller). Work units (batch chunks and scalar points)
-/// run across options.threads workers; rows are bit-identical regardless
-/// of thread count. options.cache, when set, resolves warm points up front
-/// (replaying their stored provenance, marked kOriginWarm) and stores
-/// freshly batched points with kProvenanceBatch.
-void run_batched(const Grid& grid, const std::vector<BatchPointRef>& points,
-                 const RunnerOptions& options, const ScalarPointFn& scalar_point,
-                 std::vector<sim::SimResult>& rows, RunReport* report);
 
 }  // namespace edc::sweep

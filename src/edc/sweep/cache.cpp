@@ -86,7 +86,7 @@ std::optional<DecodedEntry> decode_entry(const std::string& bytes) {
     } catch (const canon::FormatError&) {
       return std::nullopt;
     }
-    if (pos + length > bytes.size()) return std::nullopt;
+    if (length > bytes.size() - pos) return std::nullopt;
     std::string block = bytes.substr(pos, length);
     pos += length;
     return block;

@@ -1,23 +1,19 @@
 #include "edc/sweep/fault_injector.h"
 
-#include <chrono>
-#include <thread>
-
 namespace edc::sweep {
 
 namespace {
 
 // Operation codes: part of the schedule key, so the same (seed, key)
-// draws independently for each seam.
+// draws independently for each seam. The values are pinned: renumbering
+// one would reshuffle every seeded schedule.
 enum Op : int {
   kOpRead = 1,
-  kOpTruncate,
-  kOpWrite,
-  kOpRename,
-  kOpSlow,
-  kOpKill,
-  kOpCrashWrite,
-  kOpCrashRename,
+  kOpTruncate = 2,
+  kOpWrite = 3,
+  kOpRename = 4,
+  kOpCrashWrite = 7,
+  kOpCrashRename = 8,
 };
 
 /// splitmix64: a full-avalanche mixer, so op/key/occurrence bits all
@@ -80,44 +76,12 @@ bool FaultInjector::crash_before_rename(std::uint64_t key) const {
   return roll(kOpCrashRename, key, plan_.crash_before_rename);
 }
 
-void FaultInjector::before_simulate(std::uint64_t key) const {
-  if (roll(kOpSlow, key, plan_.slow_point)) {
-    ++slow_points_;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(plan_.slow_millis));
-  }
-  if (plan_.kill_worker > 0.0) {
-    bool kill = false;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      // Once-per-key: decide on the first attempt only; later attempts
-      // (the retries a fault-tolerant caller issues) always pass.
-      auto [it, first_attempt] = killed_.try_emplace(key, false);
-      if (first_attempt) {
-        // Inline Bernoulli draw (occurrence 0) under the already-held
-        // lock; roll() would deadlock re-taking mutex_.
-        const std::uint64_t draw = mix64(
-            mix64(plan_.seed ^ (static_cast<std::uint64_t>(kOpKill) << 56)) ^
-            mix64(key));
-        kill = static_cast<double>(draw >> 11) * 0x1.0p-53 < plan_.kill_worker;
-        it->second = kill;
-      }
-    }
-    if (kill) {
-      ++worker_kills_;
-      throw WorkerKilledError("fault injection: worker killed mid-point");
-    }
-  }
-}
-
 FaultCounters FaultInjector::counters() const {
   FaultCounters counters;
   counters.read_errors = read_errors_.load();
   counters.truncated_reads = truncated_reads_.load();
   counters.write_errors = write_errors_.load();
   counters.rename_errors = rename_errors_.load();
-  counters.slow_points = slow_points_.load();
-  counters.worker_kills = worker_kills_.load();
   return counters;
 }
 

@@ -1,31 +1,25 @@
-// Deterministic seeded fault schedules for the cache / runner / service
-// I/O seams.
+// Deterministic seeded fault schedules for the sweep cache's I/O seams.
 //
-// Robustness claims ("a corrupt entry is quarantined", "a killed worker is
-// retried", "a slow point trips the watchdog") are only worth anything if
-// they are *tested under faults*, and the tests are only debuggable if the
-// faults are reproducible. A FaultInjector turns a seed plus a set of
-// per-operation probabilities into a pure fault schedule: whether the k-th
-// read of cache entry X fails is a function of (seed, operation, key hash,
-// occurrence index) — never of wall time or thread interleaving — so a
-// request storm under injected chaos replays the same chaos every run.
+// Robustness claims ("a corrupt entry is quarantined", "a failed write
+// leaves no debris") are only worth anything if they are *tested under
+// faults*, and the tests are only debuggable if the faults are
+// reproducible. A FaultInjector turns a seed plus a set of per-operation
+// probabilities into a pure fault schedule: whether the k-th read of cache
+// entry X fails is a function of (seed, operation, key hash, occurrence
+// index) — never of wall time or thread interleaving — so a sweep under
+// injected chaos replays the same chaos every run.
 //
 //   sweep::FaultPlan plan;
 //   plan.seed = 42;
 //   plan.read_error = 0.15;      // 15% of cache reads report I/O errors
 //   plan.truncate_read = 0.15;   // 15% hand back a truncated prefix
-//   plan.kill_worker = 0.2;      // 20% of points lose their first worker
 //   sweep::FaultInjector chaos(plan);
-//   cache.set_fault_injector(&chaos);      // cache I/O seams
-//   options.fault_injector = &chaos;       // runner simulation seam
+//   cache.set_fault_injector(&chaos);
 //
 // Faults are *transient by occurrence*: the schedule decides each
 // occurrence of (operation, key) independently, so a read that fails now
 // can succeed on retry — which is exactly the failure model the
-// degradation paths (quarantine-and-resimulate, retry-with-backoff) are
-// designed for. The one exception is kill_worker, which fires at most once
-// per key: a point loses its first worker and must be retried, but the
-// retry is allowed to finish (the "one killed worker" acceptance shape).
+// degradation path (quarantine-and-resimulate) is designed for.
 //
 // The crash_* knobs are harsher: they terminate the *process* (_exit) at a
 // chosen instant inside Cache::store, for fork-based kill-during-store
@@ -37,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <stdexcept>
 #include <unordered_map>
 
 namespace edc::sweep {
@@ -51,23 +44,9 @@ struct FaultPlan {
   double truncate_read = 0.0;  ///< load(): the entry reads back truncated
   double write_error = 0.0;    ///< store(): the temp-file write fails
   double rename_error = 0.0;   ///< store(): the rename into place fails
-  // Runner seam (before each simulation attempt of a point).
-  double slow_point = 0.0;   ///< inject `slow_millis` of latency
-  double slow_millis = 0.0;  ///< injected latency per slow attempt
-  double kill_worker = 0.0;  ///< first attempt throws WorkerKilledError
-                             ///< (at most once per key; retries succeed)
   // Process-kill seams inside Cache::store (fork-based crash tests only).
   double crash_mid_write = 0.0;      ///< _exit(9) with the tmp file half-written
   double crash_before_rename = 0.0;  ///< _exit(9) after write, before rename
-};
-
-/// Thrown by the runner seam when the schedule kills a point's worker:
-/// the simulation attempt is lost as if the thread died. Callers that
-/// promise fault tolerance (the serve engine) catch it and retry; callers
-/// that don't (a plain Runner::run) surface it loudly.
-class WorkerKilledError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 /// How often each fault actually fired (for "the storm really stormed"
@@ -77,8 +56,6 @@ struct FaultCounters {
   std::uint64_t truncated_reads = 0;
   std::uint64_t write_errors = 0;
   std::uint64_t rename_errors = 0;
-  std::uint64_t slow_points = 0;
-  std::uint64_t worker_kills = 0;
 };
 
 class FaultInjector {
@@ -92,11 +69,6 @@ class FaultInjector {
   [[nodiscard]] bool fail_rename(std::uint64_t key) const;
   [[nodiscard]] bool crash_mid_write(std::uint64_t key) const;
   [[nodiscard]] bool crash_before_rename(std::uint64_t key) const;
-
-  /// Runner seam: called before every simulation attempt of the keyed
-  /// point. May sleep (slow point) and may throw WorkerKilledError (at
-  /// most once per key). Thread-safe.
-  void before_simulate(std::uint64_t key) const;
 
   [[nodiscard]] FaultCounters counters() const;
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
@@ -113,14 +85,10 @@ class FaultInjector {
   /// collision would merely merge two counters, never break determinism
   /// within a run).
   mutable std::unordered_map<std::uint64_t, std::uint64_t> occurrences_;
-  /// Keys whose worker kill already fired (kill_worker is once-per-key).
-  mutable std::unordered_map<std::uint64_t, bool> killed_;
   mutable std::atomic<std::uint64_t> read_errors_{0};
   mutable std::atomic<std::uint64_t> truncated_reads_{0};
   mutable std::atomic<std::uint64_t> write_errors_{0};
   mutable std::atomic<std::uint64_t> rename_errors_{0};
-  mutable std::atomic<std::uint64_t> slow_points_{0};
-  mutable std::atomic<std::uint64_t> worker_kills_{0};
 };
 
 }  // namespace edc::sweep

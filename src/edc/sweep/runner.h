@@ -11,8 +11,8 @@
 //   sweep::Runner runner;                       // hardware_concurrency threads
 //   const auto rows = runner.run(grid);         // rows[i] == grid.point(i)
 //
-// Two scaling hooks compose with the pool (tests/sweep_cache_test.cpp,
-// tests/sweep_shard_test.cpp):
+// Three scaling hooks compose with the pool (tests/sweep_cache_test.cpp,
+// tests/sweep_shard_test.cpp, tests/batch_diff_test.cpp):
 //
 //  * options.cache points at a sweep::Cache: run()/run_shard() then load
 //    previously simulated points from disk instead of re-simulating them
@@ -22,6 +22,12 @@
 //    (global index i with i % N == k), for splitting one grid across
 //    processes or machines; per-shard CSVs merge back into exact grid
 //    order (see sweep/shard.h).
+//  * options.batch steps structurally matching cache-cold points in
+//    lockstep through the SoA kernel (see sweep/batch.h).
+//
+// run(), run_shard() and run_assignment() differ only in which grid points
+// they list; one executor resolves cache hits, forms work units (batch
+// chunks or single points) and runs them on the pool for all three.
 //
 // For per-point data beyond SimResult (policy internals, NVM counters),
 // map() passes the still-live system to a caller-supplied extractor (the
@@ -48,7 +54,6 @@
 namespace edc::sweep {
 
 class Cache;
-class FaultInjector;
 
 /// Per-row origin codes (the probe-count accounting solver-guided searches
 /// rely on, see sweep/search.h): was the row computed by a fresh
@@ -95,7 +100,8 @@ struct RunReport {
 
 struct RunnerOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency() (at least 1).
-  /// The pool never exceeds the number of grid points.
+  /// The pool never exceeds the number of work units (points or batch
+  /// chunks).
   int threads = 0;
   /// Optional on-disk memoiser for run()/run_shard() (see sweep/cache.h).
   /// Not owned; must outlive the Runner. map() ignores it.
@@ -108,17 +114,6 @@ struct RunnerOptions {
   /// need the scalar per-point lifecycle).
   bool batch = false;
   int batch_lanes = 16;
-  /// Optional chaos source (see sweep/fault_injector.h). Not owned; must
-  /// outlive the Runner. Applied on the scalar simulation path only: the
-  /// injector's before_simulate() seam runs before each point's
-  /// simulation (keyed by spec hash), injecting latency for scheduled
-  /// slow points and throwing WorkerKilledError for scheduled kills —
-  /// which the Runner surfaces like any worker exception (rethrown after
-  /// the pool drains). Fault-tolerant callers (the serve engine) catch
-  /// and retry; the cache's own I/O faults are wired separately via
-  /// Cache::set_fault_injector. Non-cacheable specs have no stable key
-  /// and are never fault-injected.
-  const FaultInjector* fault_injector = nullptr;
 };
 
 class Runner {
@@ -180,39 +175,25 @@ class Runner {
   void for_each_point(const Grid& grid,
                       const std::function<void(const Point&)>& body) const;
 
-  /// As for_each_point, restricted to the points `shard` owns.
-  void for_each_point(const Grid& grid, const Shard& shard,
-                      const std::function<void(const Point&)>& body) const;
-
-  /// As for_each_point, over an explicit list of global point indices
-  /// (each must be < grid.size()).
-  void for_each_point(const Grid& grid, const std::vector<std::size_t>& points,
-                      const std::function<void(const Point&)>& body) const;
-
-  /// The pool size a grid of `point_count` points would run with.
+  /// The pool size for `point_count` work units (grid points, or batch
+  /// chunks under options.batch).
   [[nodiscard]] int thread_count(std::size_t point_count) const noexcept;
 
  private:
-  /// Simulates one point, consulting options_.cache when set. `micros`
-  /// receives the point's wall-time cost, `provenance` its execution path
-  /// and `origin` whether it was simulated fresh or loaded warm (see
-  /// run()).
-  [[nodiscard]] sim::SimResult simulate_point(const Point& point, double& micros,
-                                              char& provenance, char& origin) const;
+  /// The executor behind run(), run_shard() and run_assignment(): row slot
+  /// k holds global point `points[k]`. Each point's cache hit is resolved
+  /// once (before grouping under options_.batch, else inside the point's
+  /// own work unit, which reuses the loaded key for its store); cold points
+  /// become batch chunks or single-point units that run on the pool and
+  /// store their fresh rows.
+  [[nodiscard]] std::vector<sim::SimResult> execute(
+      const Grid& grid, const std::vector<std::size_t>& points,
+      RunReport* report) const;
 
-  /// simulate_point wrapped as the batch executor's scalar fallback
-  /// (sweep::ScalarPointFn; spelled out here to avoid a header cycle with
-  /// sweep/batch.h).
-  [[nodiscard]] std::function<sim::SimResult(const Point&, double&, char&, char&)>
-  scalar_point_fn() const;
-
-  /// The shared thread-pool driver: executes body(grid.point(
-  /// global_index(p))) for p in [0, count) across the pool; first worker
-  /// exception rethrown on the calling thread after the pool drains.
-  template <typename IndexFn>
-  void pooled_for_each(const Grid& grid, std::size_t count,
-                       const IndexFn& global_index,
-                       const std::function<void(const Point&)>& body) const;
+  /// The pool: executes body(k) for k in [0, count) across
+  /// thread_count(count) workers; the first worker exception is rethrown on
+  /// the calling thread after the pool drains.
+  void pooled(std::size_t count, const std::function<void(std::size_t)>& body) const;
 
   RunnerOptions options_;
 };

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "../bench/fig8_scenarios.h"
 #include "edc/checkpoint/interrupt_policy.h"
 #include "edc/sim/result_io.h"
 #include "edc/spec/system_spec.h"
@@ -389,6 +390,56 @@ TEST(BatchDiff, CacheReplaysBatchProvenanceOnWarmHits) {
     EXPECT_EQ(warm_report.micros[i], cold_report.micros[i]);
   }
   std::filesystem::remove_all(dir);
+}
+
+/// Runs `grid` serially from an empty cache with batching off and on, and
+/// checks that the cache accounting does not depend on the strategy.
+/// Returns the (equal) batched stats.
+CacheStats expect_equal_cache_accounting(const Grid& grid, const std::string& name) {
+  CacheStats stats[2];
+  for (int batch = 0; batch < 2; ++batch) {
+    const std::filesystem::path dir = std::filesystem::path(::testing::TempDir()) /
+                                      ("edc-batchdiff-accounting-" + name +
+                                       std::to_string(batch));
+    std::filesystem::remove_all(dir);
+    Cache cache(dir);
+    RunnerOptions options;
+    options.threads = 1;
+    options.cache = &cache;
+    options.batch = batch == 1;
+    (void)Runner(options).run(grid);
+    stats[batch] = cache.stats();
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(stats[1].hits, stats[0].hits);
+  EXPECT_EQ(stats[1].misses, stats[0].misses);
+  EXPECT_EQ(stats[1].stores, stats[0].stores);
+  EXPECT_EQ(stats[1].non_cacheable, stats[0].non_cacheable);
+  return stats[1];
+}
+
+TEST(BatchDiff, CacheAccountingCountsNonCacheablePointsLikeScalar) {
+  // A workload factory makes every point non-cacheable, yet the points
+  // still share a lockstep group.
+  const Grid grid = fig8::batch_survey_grid();
+  EXPECT_EQ(expect_equal_cache_accounting(grid, "noncacheable").non_cacheable,
+            grid.size());
+}
+
+TEST(BatchDiff, CacheAccountingLoadsSingletonGroupsOnce) {
+  // Two different sources: two singleton groups, both simulated scalar.
+  spec::SystemSpec base;
+  base.workload.kind = "crc";
+  base.policy = spec::Hibernus{};
+  base.sim.t_end = 0.2;
+  Grid grid(std::move(base));
+  grid.axis("source", {{"sine", [](spec::SystemSpec& s) {
+                          s.source = spec::SineSource{3.3, 5.0, 0.0, 50.0};
+                        }},
+                       {"dc", [](spec::SystemSpec& s) { s.source = spec::DcSource{3.0, 50.0}; }}});
+  const CacheStats stats = expect_equal_cache_accounting(grid, "singletons");
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.stores, 2u);
 }
 
 }  // namespace
