@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -15,9 +16,11 @@
 #include <vector>
 
 #include "edc/checkpoint/null_policy.h"
+#include "edc/sim/result_io.h"
 #include "edc/spec/fleet_spec.h"
 #include "edc/spec/serialize.h"
 #include "edc/spec/system_spec.h"
+#include "edc/sweep/cache.h"
 #include "edc/workloads/program.h"
 
 namespace {
@@ -270,6 +273,65 @@ std::vector<NamedFleet> covering_fleets() {
   return fleets;
 }
 
+// Result-side pins: a hand-built SimResult that sets every field (no
+// simulator output, so engine changes never move these bytes), with two
+// transitions and two probes, one of them a single sample with dt 0.
+sim::SimResult pinned_result(double scale) {
+  sim::SimResult r;
+  r.end_time = 1.25 * scale;
+  r.harvested = 3.0517578125e-05 * scale;
+  r.consumed = 2.5e-05 * scale;
+  r.dissipated = 1.0e-7 * scale;
+  r.stored_initial = 1.5e-06 * scale;
+  r.stored_final = 4.0517578125e-06 * scale;
+  r.nvm_torn_writes = 3;
+  r.nvm_commits = 17;
+  r.fine_steps = 123456;
+  r.span_steps = 18446744073709551615ull;
+  r.spans = 42;
+  auto& m = r.mcu;
+  m.time_off = 0.5 * scale;
+  m.time_boot = 0.0625;
+  m.time_active = 0.3;
+  m.time_saving = 0.001;
+  m.time_restoring = 0.002;
+  m.time_sleep = 0.125;
+  m.time_wait = 0.25;
+  m.time_done = 0.0078125;
+  m.cycles_active = 2400000.5;
+  m.forward_cycles = 2000000.0;
+  m.reexecuted_cycles = 400000.5;
+  m.poll_cycles = 1600.0;
+  m.boots = 4;
+  m.brownouts = 3;
+  m.saves_started = 5;
+  m.saves_completed = 4;
+  m.restores = 2;
+  m.direct_resumes = 1;
+  m.peripheral_reinits = 6;
+  m.energy_active = 2.0e-05;
+  m.energy_save = 1.25e-06;
+  m.energy_restore = 7.5e-07;
+  m.energy_sleep = 3.0e-08;
+  m.energy_other = 1.0e-09;
+  m.completed = true;
+  m.completion_time = 1.1875;
+  r.transitions = {{0.015625, mcu::McuState::off, mcu::McuState::boot, 2.0009765625},
+                   {0.5, mcu::McuState::saving, mcu::McuState::sleep, 2.25}};
+  r.probes.add("vcc", trace::Waveform(1e-05, 0.25, {0.0, 1.75, 2.5}));
+  r.probes.add("state", trace::Waveform(0.125, 0.0, {3.0}));
+  return r;
+}
+
+TEST(SpecSerial, PinnedResultRowsRoundTripByteIdentically) {
+  const std::string row = sim::serialize_result(pinned_result(1.0));
+  EXPECT_EQ(sim::serialize_result(sim::parse_result(row)), row);
+  sim::FleetResult fleet;
+  fleet.nodes = {pinned_result(1.0), pinned_result(2.0)};
+  const std::string fleet_text = sim::serialize_fleet_result(fleet);
+  EXPECT_EQ(sim::serialize_fleet_result(sim::parse_fleet_result(fleet_text)), fleet_text);
+}
+
 TEST(SpecSerial, RoundTripIsByteIdentical) {
   for (const NamedSpec& named : covering_specs()) {
     SCOPED_TRACE(named.name);
@@ -439,8 +501,9 @@ TEST(SpecSerial, OpaqueCallbacksAreNonCacheable) {
 // them and fails once, listing every stale file — so an intentional format
 // change is always a single regenerate-and-commit, never a
 // fix-one-discover-the-next loop. A diff in any of these files means
-// every existing cache entry is invalidated: bump spec::kSpecFormatVersion
-// alongside the regeneration (see serialize.h versioning policy).
+// every existing cache entry is invalidated: bump the version constant the
+// file's header names alongside the regeneration (see the versioning
+// policies in serialize.h and result_io.h).
 
 std::string hash_hex(std::uint64_t hash) {
   char hex[17];
@@ -449,14 +512,34 @@ std::string hash_hex(std::uint64_t hash) {
 }
 
 struct GoldenFile {
-  std::string name;  // file name under tests/golden/
-  std::string what;  // one-line description for the file header
+  std::string name;     // file name under tests/golden/
+  std::string what;     // one-line description for the file header
+  std::string format;   // the format (and version) the file pins
+  std::string version;  // the version constant a diff here must bump
   std::map<std::string, std::string> (*compute)();
 };
 
+std::string spec_format() { return "spec format v" + std::to_string(spec::kSpecFormatVersion); }
+
+/// The bytes Cache::store writes for a fixed (non-spec) key text.
+std::string stored_entry_bytes() {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "edc_result_pin_cache";
+  std::filesystem::remove_all(dir);
+  const sweep::Cache cache(dir);
+  const std::string key = "pinned cache key\n";
+  cache.store(key, pinned_result(1.0), 1234.5, 'b');
+  std::ifstream in(cache.entry_path(key), std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::filesystem::remove_all(dir);
+  return bytes.str();
+}
+
 const std::vector<GoldenFile>& golden_registry() {
   static const std::vector<GoldenFile> registry = {
-      {"spec_hashes.txt", "covering SystemSpecs (spec::spec_hash)",
+      {"spec_hashes.txt", "covering SystemSpecs (spec::spec_hash)", spec_format(),
+       "spec::kSpecFormatVersion",
        [] {
          std::map<std::string, std::string> entries;
          for (const NamedSpec& named : covering_specs()) {
@@ -464,7 +547,8 @@ const std::vector<GoldenFile>& golden_registry() {
          }
          return entries;
        }},
-      {"fleet_hashes.txt", "covering FleetSpecs (spec::fleet_hash)",
+      {"fleet_hashes.txt", "covering FleetSpecs (spec::fleet_hash)", spec_format(),
+       "spec::kSpecFormatVersion",
        [] {
          std::map<std::string, std::string> entries;
          for (const NamedFleet& named : covering_fleets()) {
@@ -472,13 +556,29 @@ const std::vector<GoldenFile>& golden_registry() {
          }
          return entries;
        }},
+      {"result_hashes.txt",
+       "hand-built pinned_result() row, fleet result and cache entry",
+       "result format v" + std::to_string(sim::kResultFormatVersion) +
+           ", fleet result v" + std::to_string(sim::kFleetResultFormatVersion) +
+           ", cache entry v3",
+       "sim::kResultFormatVersion (or sim::kFleetResultFormatVersion, or\n"
+       "# the entry magic in sweep/cache.cpp)",
+       [] {
+         sim::FleetResult fleet;
+         fleet.nodes = {pinned_result(1.0), pinned_result(2.0)};
+         return std::map<std::string, std::string>{
+             {"sim-result", hash_hex(spec::fnv1a64(sim::serialize_result(pinned_result(1.0))))},
+             {"fleet-result", hash_hex(spec::fnv1a64(sim::serialize_fleet_result(fleet)))},
+             {"cache-entry", hash_hex(spec::fnv1a64(stored_entry_bytes()))},
+         };
+       }},
   };
   return registry;
 }
 
 // The golden files pin the canonical hashes across runs, machines and
 // compilers. Regenerate with EDC_UPDATE_GOLDEN=1 after an *intentional*
-// format change — and bump spec::kSpecFormatVersion when you do.
+// format change — and bump the version constant the file's header names.
 TEST(SpecSerial, GoldenHashesAreStableAcrossRuns) {
   const std::string golden_dir = std::string(EDC_TESTS_DIR) + "/golden/";
 
@@ -488,11 +588,11 @@ TEST(SpecSerial, GoldenHashesAreStableAcrossRuns) {
       const std::string path = golden_dir + file.name;
       std::ofstream out(path, std::ios::trunc);
       ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << "# FNV-1a-64 of the canonical serialization (spec format v"
-          << spec::kSpecFormatVersion << ") of tests/spec_serial_test.cpp's\n"
+      out << "# FNV-1a-64 of the canonical serialization (" << file.format
+          << ") of tests/spec_serial_test.cpp's\n"
           << "# " << file.what << ". EDC_UPDATE_GOLDEN=1 regenerates every\n"
           << "# golden file in one pass; a diff here invalidates every cache\n"
-          << "# entry, so bump spec::kSpecFormatVersion alongside it.\n";
+          << "# entry, so bump " << file.version << " alongside it.\n";
       for (const auto& [name, hex] : file.compute()) out << name << ' ' << hex << '\n';
     }
     GTEST_SKIP() << "golden files regenerated under " << golden_dir;
@@ -540,9 +640,9 @@ TEST(SpecSerial, GoldenHashesAreStableAcrossRuns) {
              joined += name;
            }
            return joined;
-         }() << " — if the format change is intentional, bump "
-                "spec::kSpecFormatVersion and regenerate ALL golden files in "
-                "one pass with EDC_UPDATE_GOLDEN=1";
+         }() << " — if the format change is intentional, bump the version "
+                "constant each stale file's header names and regenerate ALL "
+                "golden files in one pass with EDC_UPDATE_GOLDEN=1";
 }
 
 // ------------------------------------------------- fleet hash coverage -----
