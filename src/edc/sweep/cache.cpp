@@ -19,10 +19,9 @@ namespace {
 
 // v2: a `micros` wall-time line between the magic and the blocks (PR 3).
 // v3: a `provenance` line ('s' scalar / 'b' batch) after the wall time
-//     (PR 6). v2 entries still decode — they all predate the batch path,
-//     so their provenance is 's' by construction.
+//     (PR 6). v2 entries live only under spec v2-v4 directories, which this
+//     build never reads, so only v3 decodes.
 constexpr char kEntryMagic[] = "edc.CacheEntry v3";
-constexpr char kEntryMagicV2[] = "edc.CacheEntry v2";
 
 std::string hex16(std::uint64_t value) {
   char buffer[17];
@@ -46,80 +45,38 @@ std::string encode_entry(const std::string& key_text, const std::string& result_
   std::string out;
   out.reserve(key_text.size() + result_text.size() + 96);
   out += kEntryMagic;
-  out += '\n';
-  out += "micros " + canon::double_text(micros) + '\n';
-  out += "provenance ";
+  out += "\nmicros " + canon::double_text(micros) + "\nprovenance ";
   out += provenance;
   out += '\n';
-  out += "spec_bytes " + std::to_string(key_text.size()) + '\n';
-  out += key_text;
-  out += "result_bytes " + std::to_string(result_text.size()) + '\n';
-  out += result_text;
+  canon::append_block(out, "spec_bytes", key_text);
+  canon::append_block(out, "result_bytes", result_text);
   return out;
 }
 
+/// An entry's parts, as views into the entry bytes.
 struct DecodedEntry {
-  std::string spec_text;
-  std::string result_text;
+  std::string_view spec_text;
+  std::string_view result_text;
   double micros = 0.0;
   char provenance = 's';
 };
 
-/// Splits an entry back into its parts; nullopt on any corruption (bad
-/// magic, malformed wall time, truncated blocks, trailing bytes).
-std::optional<DecodedEntry> decode_entry(const std::string& bytes) {
-  std::size_t pos = 0;
-  const auto read_line = [&]() -> std::optional<std::string> {
-    const std::size_t end = bytes.find('\n', pos);
-    if (end == std::string::npos) return std::nullopt;
-    std::string line = bytes.substr(pos, end - pos);
-    pos = end + 1;
-    return line;
-  };
-  const auto read_block = [&](const char* prefix) -> std::optional<std::string> {
-    const auto header = read_line();
-    if (!header || header->rfind(prefix, 0) != 0) return std::nullopt;
-    std::size_t length = 0;
-    try {
-      length = static_cast<std::size_t>(
-          canon::parse_u64(std::string_view(*header).substr(std::string(prefix).size())));
-    } catch (const canon::FormatError&) {
-      return std::nullopt;
-    }
-    if (length > bytes.size() - pos) return std::nullopt;
-    std::string block = bytes.substr(pos, length);
-    pos += length;
-    return block;
-  };
-
-  const auto magic = read_line();
-  if (!magic || (*magic != kEntryMagic && *magic != kEntryMagicV2)) {
-    return std::nullopt;
-  }
-  const auto micros_line = read_line();
-  if (!micros_line || micros_line->rfind("micros ", 0) != 0) return std::nullopt;
+/// Splits an entry back into its parts; throws canon::FormatError on any
+/// corruption (bad magic, malformed wall time or provenance, truncated
+/// blocks, trailing bytes).
+DecodedEntry decode_entry(std::string_view bytes) {
+  canon::FrameReader in(bytes);
+  if (in.line() != kEntryMagic) throw canon::FormatError("bad cache entry magic");
   DecodedEntry entry;
-  try {
-    entry.micros = canon::parse_double(std::string_view(*micros_line).substr(7));
-  } catch (const canon::FormatError&) {
-    return std::nullopt;
+  entry.micros = canon::parse_double(in.value("micros"));
+  const std::string_view provenance = in.value("provenance");
+  if (provenance != "s" && provenance != "b") {
+    throw canon::FormatError("bad provenance '" + std::string(provenance) + "'");
   }
-  if (*magic == kEntryMagic) {
-    const auto provenance_line = read_line();
-    if (!provenance_line || provenance_line->size() != 12 ||
-        provenance_line->rfind("provenance ", 0) != 0) {
-      return std::nullopt;
-    }
-    entry.provenance = (*provenance_line)[11];
-    if (entry.provenance != 's' && entry.provenance != 'b') return std::nullopt;
-  }
-  auto spec_text = read_block("spec_bytes ");
-  if (!spec_text) return std::nullopt;
-  auto result_text = read_block("result_bytes ");
-  if (!result_text) return std::nullopt;
-  if (pos != bytes.size()) return std::nullopt;
-  entry.spec_text = std::move(*spec_text);
-  entry.result_text = std::move(*result_text);
+  entry.provenance = provenance.front();
+  entry.spec_text = in.block("spec_bytes");
+  entry.result_text = in.block("result_bytes");
+  in.finish();
   return entry;
 }
 
@@ -170,31 +127,19 @@ std::optional<CachedPoint> Cache::load(const std::string& key_text) const {
     bytes.resize(bytes.size() / 2);
   }
 
-  const auto quarantine_corrupt = [this, &path] {
-    if (quarantine_entry(path)) ++quarantined_;
-    ++misses_;
-  };
-
-  const auto entry = decode_entry(bytes);
-  if (!entry) {
-    // Bytes exist but don't decode: a torn or bit-rotted entry. Move it
-    // aside so it stops wasting a read per lookup and can't be mistaken
-    // for a healthy entry by pruning; the caller simulates.
-    quarantine_corrupt();
-    return std::nullopt;
-  }
-  if (entry->spec_text != key_text) {
-    // A well-formed entry for a *different* spec: a 64-bit hash collision,
-    // not corruption. The stored row is not ours — miss, but leave the
-    // entry alone (it is somebody's valid result).
-    ++misses_;
-    return std::nullopt;
-  }
   try {
+    const DecodedEntry entry = decode_entry(bytes);
+    if (entry.spec_text != key_text) {
+      // A well-formed entry for a *different* spec: a 64-bit hash
+      // collision, not corruption. The stored row is not ours — miss, but
+      // leave the entry alone (it is somebody's valid result).
+      ++misses_;
+      return std::nullopt;
+    }
     CachedPoint point;
-    point.result = sim::parse_result(entry->result_text);
-    point.micros = entry->micros;
-    point.provenance = entry->provenance;
+    point.result = sim::parse_result(std::string(entry.result_text));
+    point.micros = entry.micros;
+    point.provenance = entry.provenance;
     ++hits_;
     // Refresh recency so LRU pruning ranks this entry as just-used.
     std::error_code ec;
@@ -202,7 +147,11 @@ std::optional<CachedPoint> Cache::load(const std::string& key_text) const {
         path, std::filesystem::file_time_type::clock::now(), ec);
     return point;
   } catch (const canon::FormatError&) {
-    quarantine_corrupt();
+    // Bytes exist but don't decode or parse: a torn or bit-rotted entry.
+    // Move it aside so it stops wasting a read per lookup and can't be
+    // mistaken for a healthy entry by pruning; the caller simulates.
+    if (quarantine_entry(path)) ++quarantined_;
+    ++misses_;
     return std::nullopt;
   }
 }
@@ -214,19 +163,24 @@ std::string Cache::fsck_entry(const std::filesystem::path& path) {
   buffer << in.rdbuf();
   if (!in.good() && !in.eof()) return "read error";
 
-  const auto entry = decode_entry(buffer.str());
-  if (!entry) return "undecodable (bad magic, truncated block, or trailing bytes)";
-  const std::string expected = hex16(spec::fnv1a64(entry->spec_text)) + ".edcres";
+  const std::string bytes = buffer.str();
+  DecodedEntry entry;
+  try {
+    entry = decode_entry(bytes);
+  } catch (const canon::FormatError& error) {
+    return std::string("undecodable: ") + error.what();
+  }
+  const std::string expected = hex16(spec::fnv1a64(entry.spec_text)) + ".edcres";
   if (path.filename().string() != expected) {
     return "filename does not match the embedded key text (expected " + expected +
            ")";
   }
   try {
-    (void)sim::parse_result(entry->result_text);
+    (void)sim::parse_result(std::string(entry.result_text));
   } catch (const canon::FormatError& error) {
     return std::string("stored result does not parse: ") + error.what();
   }
-  if (!(entry->micros >= 0.0)) return "negative or NaN wall time";
+  if (!(entry.micros >= 0.0)) return "negative or NaN wall time";
   return {};
 }
 

@@ -326,12 +326,29 @@ TEST(ParserMutation, HugeCountInACachedRowIsQuarantinedAndResimulated) {
 }
 
 TEST(ParserMutation, IntFieldsRejectValuesOutsideIntRange) {
-  for (const char* value : {"4294967297", "-2147483649"}) {
-    std::string text = spec::serialize(cheap_spec());
-    const std::size_t at = text.find("node_substeps 4\n");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at + 14, 1, value);
-    EXPECT_THROW((void)spec::parse_spec(text), canon::FormatError) << value;
+  spec::SystemSpec mementos = cheap_spec();
+  mementos.policy = spec::Mementos{};
+  spec::SystemSpec adaptive = cheap_spec();
+  adaptive.policy = spec::AdaptiveBuffer{};
+  const struct {
+    spec::SystemSpec spec;
+    std::string field;
+    std::string value;
+  } cases[] = {
+      {cheap_spec(), "node_substeps", "4294967297"},  // int
+      {cheap_spec(), "node_substeps", "-2147483649"},
+      {mementos, "poll_stride", "4294967296"},  // unsigned
+      {adaptive, "min_buffer", "4294967296"},
+      {adaptive, "max_buffer", "4294967296"},
+  };
+  for (const auto& c : cases) {
+    std::string text = spec::serialize(c.spec);
+    const std::size_t key = text.find(" " + c.field + " ");
+    ASSERT_NE(key, std::string::npos) << c.field;
+    const std::size_t begin = key + c.field.size() + 2;
+    text.replace(begin, text.find('\n', begin) - begin, c.value);
+    EXPECT_THROW((void)spec::parse_spec(text), canon::FormatError)
+        << c.field << " " << c.value;
   }
 }
 

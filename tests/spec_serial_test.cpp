@@ -519,7 +519,9 @@ struct GoldenFile {
   std::map<std::string, std::string> (*compute)();
 };
 
-std::string spec_format() { return "spec format v" + std::to_string(spec::kSpecFormatVersion); }
+std::string spec_format() {
+  return "spec format v" + std::to_string(spec::kSpecFormatVersion);
+}
 
 /// The bytes Cache::store writes for a fixed (non-spec) key text.
 std::string stored_entry_bytes() {
@@ -564,12 +566,15 @@ const std::vector<GoldenFile>& golden_registry() {
        "sim::kResultFormatVersion (or sim::kFleetResultFormatVersion, or\n"
        "# the entry magic in sweep/cache.cpp)",
        [] {
+         const auto hash = [](const std::string& bytes) {
+           return hash_hex(spec::fnv1a64(bytes));
+         };
          sim::FleetResult fleet;
          fleet.nodes = {pinned_result(1.0), pinned_result(2.0)};
          return std::map<std::string, std::string>{
-             {"sim-result", hash_hex(spec::fnv1a64(sim::serialize_result(pinned_result(1.0))))},
-             {"fleet-result", hash_hex(spec::fnv1a64(sim::serialize_fleet_result(fleet)))},
-             {"cache-entry", hash_hex(spec::fnv1a64(stored_entry_bytes()))},
+             {"sim-result", hash(sim::serialize_result(pinned_result(1.0)))},
+             {"fleet-result", hash(sim::serialize_fleet_result(fleet))},
+             {"cache-entry", hash(stored_entry_bytes())},
          };
        }},
   };
