@@ -149,7 +149,12 @@ void Writer::operator()(std::string_view key, const std::vector<double>& v) {
 void Writer::wave(const trace::Waveform& w) {
   (*this)("t0", w.t0());
   (*this)("dt", w.dt());
-  (*this)("samples", w.samples());
+  if (traces_ == TraceForm::digest) {
+    (*this)("count", w.size());
+    line("sha256", w.digest());
+  } else {
+    (*this)("samples", w.samples());
+  }
 }
 
 std::string_view Writer::name_at(std::string_view key, std::size_t index,
@@ -219,6 +224,14 @@ void Reader::wave(trace::Waveform& w) {
   std::vector<double> samples;
   (*this)("t0", t0);
   (*this)("dt", dt);
+  const std::size_t indent = static_cast<std::size_t>(2 * depth_);
+  if (pos_ < lines_.size() && lines_[pos_].size() > indent &&
+      (lines_[pos_].substr(indent).starts_with("count ") ||
+       lines_[pos_].substr(indent).starts_with("sha256 "))) {
+    throw FormatError(
+        "trace named by count and sha256, not by its samples: a cache key is not "
+        "a spec document (spec::document writes one)");
+  }
   (*this)("samples", samples);
   if (samples.size() >= 2 && !(dt > 0.0)) {
     throw FormatError("waveform sample spacing must be positive");

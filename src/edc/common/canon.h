@@ -37,7 +37,9 @@
 //                                        `key absent`, or `key present` + fn(*o)
 //   io.list(key, each, items, more...)   `key <n>`, then each(i, items[i],
 //                                        more[i]...) for parallel vectors
-//   io.wave(w)                           a trace::Waveform (t0, dt, samples)
+//   io.wave(w)                           a trace::Waveform: t0, dt, then the
+//                                        samples or their count and SHA-256
+//                                        (the writer's TraceForm)
 //   io.document(key, version, fn)        the `key v<version>` root; the
 //                                        reader checks the version and that
 //                                        nothing follows
@@ -92,8 +94,21 @@ concept Record = (std::same_as<std::remove_const_t<R>, Ts> || ...);
 
 // ---- canonical writer -----------------------------------------------------
 
+/// How a Writer spells a trace::Waveform.
+enum class TraceForm {
+  /// `t0`, `dt`, `samples <n>` and one line per sample: a self-contained
+  /// document, which the Reader reads back.
+  samples,
+  /// `t0`, `dt`, `count <n>`, `sha256 <64 hex>` (Waveform::digest): a key
+  /// that names the samples by content, at a size independent of n. The
+  /// Reader rejects it.
+  digest,
+};
+
 class Writer {
  public:
+  explicit Writer(TraceForm traces = TraceForm::samples) : traces_(traces) {}
+
   void operator()(std::string_view key, double v);
   void operator()(std::string_view key, bool v);
   void operator()(std::string_view key, const std::string& v);
@@ -162,6 +177,7 @@ class Writer {
     --depth_;
   }
 
+  TraceForm traces_;
   std::string out_;
   int depth_ = 0;
 };
@@ -244,6 +260,7 @@ class Reader {
     });
   }
 
+  /// Reads the samples form only; a trace in the digest form throws.
   void wave(trace::Waveform& w);
 
   void document(std::string_view key, int version, auto&& fn) {

@@ -317,15 +317,27 @@ std::string non_cacheable_reason(const SystemSpec& spec) {
 
 bool is_cacheable(const SystemSpec& spec) { return non_cacheable_reason(spec).empty(); }
 
-std::string serialize(const SystemSpec& spec) {
+namespace {
+
+std::string write_spec(const SystemSpec& spec, canon::TraceForm traces) {
   const std::string reason = non_cacheable_reason(spec);
   if (!reason.empty()) {
     throw SpecFormatError("spec is not serializable — " + reason);
   }
 
-  canon::Writer w;
+  canon::Writer w(traces);
   w.document("edc.SystemSpec", kSpecFormatVersion, [&] { walk(w, spec); });
   return w.take();
+}
+
+}  // namespace
+
+std::string serialize(const SystemSpec& spec) {
+  return write_spec(spec, canon::TraceForm::digest);
+}
+
+std::string document(const SystemSpec& spec) {
+  return write_spec(spec, canon::TraceForm::samples);
 }
 
 SystemSpec parse_spec(const std::string& text) {
@@ -369,7 +381,7 @@ std::string serialize_fleet(const FleetSpec& fleet) {
     throw SpecFormatError("fleet is not serializable — " + reason);
   }
 
-  canon::Writer w;
+  canon::Writer w(canon::TraceForm::digest);
   w.document("edc.FleetSpec", kSpecFormatVersion, [&] { walk(w, fleet); });
   return w.take();
 }

@@ -1,22 +1,38 @@
-// Canonical, versioned text serialization for spec::SystemSpec.
+// Canonical, versioned text serialization for spec::SystemSpec, in two
+// forms that differ only in how a recorded trace is written:
 //
-// serialize() maps a spec to a unique byte string: every field of every
-// source/storage/workload/policy variant is emitted on its own line, in a
-// fixed order, with doubles printed in shortest round-trip form
-// (std::to_chars), so serialize(parse(serialize(s))) == serialize(s)
-// byte-for-byte. parse() is strict — it expects exactly the canonical
-// lines in canonical order, and throws SpecFormatError on anything else
-// (unknown fields, missing fields, trailing garbage, version mismatch).
-// That strictness is what makes the format safe to hash: two specs collide
-// only if they are semantically identical (or FNV-64 collides, which the
-// cache guards against by storing the full key text).
+//   serialize(s)  the key form: a VoltageTraceSource/PowerTraceSource wave
+//                 is `t0`, `dt`, `count <n>` and `sha256 <64 hex>`
+//                 (trace::Waveform::digest), so a key stays ~1-2 KB however
+//                 long the trace. Every content address uses it: cache
+//                 keys, spec_hash, serialize_fleet/fleet_hash and
+//                 sweep::batch_group_key.
+//   document(s)   the document form: the wave is `t0`, `dt`, `samples <n>`
+//                 and one line per sample, a self-contained text people and
+//                 files exchange (design_query --spec / --print-spec).
+//
+// For a spec without a trace the two are the same bytes. parse_spec()
+// reads the document form only, and rejects a key naming a trace by its
+// digest, since the samples are not in it. Both forms emit every field of
+// every source/storage/workload/policy variant on its own line, in a fixed
+// order, with doubles printed in shortest round-trip form (std::to_chars),
+// so document(parse_spec(document(s))) == document(s) and
+// serialize(parse_spec(document(s))) == serialize(s) byte-for-byte.
+// parse_spec() is strict — it expects exactly the canonical lines in
+// canonical order, and throws SpecFormatError on anything else (unknown
+// fields, missing fields, trailing garbage, version mismatch). That
+// strictness is what makes the format safe to hash: two specs share a key
+// only if they are semantically identical. Equal key text means equal
+// samples, because SHA-256 collisions are not constructible (a 64-bit
+// digest's would be); an FNV-64 collision between key texts is a miss,
+// because the cache stores the full key text.
 //
 // Custom factory callbacks (CustomVoltageSource, CustomPowerSource,
 // CustomPolicy, WorkloadSpec::factory, a hibernus++ capacitance_probe)
 // cannot be serialized — they are opaque code, not data. Such specs are
 // *non-cacheable*: is_cacheable() returns false, non_cacheable_reason()
-// names the offending field, and serialize() throws. The sweep cache
-// simulates them unconditionally.
+// names the offending field, and serialize() and document() throw. The
+// sweep cache simulates them unconditionally.
 //
 // Versioning policy: kSpecFormatVersion is part of the header line and of
 // the cache directory layout. Bump it whenever the canonical byte stream
@@ -65,7 +81,10 @@ namespace edc::spec {
 // one closed form (circuit::AffineSolution) now plans every certificate
 // kind, so there is nothing left to switch off; the fields leave the byte
 // stream, and macro rows cached under the old planners age out.
-inline constexpr int kSpecFormatVersion = 7;
+// v8: keys name a recorded trace by `count` and `sha256` instead of
+// listing its samples (the key form above); the inline-sample spelling
+// moved to document(). Every key holding a trace changed bytes.
+inline constexpr int kSpecFormatVersion = 8;
 
 /// Thrown by serialize()/parse_spec() on any deviation from the canonical
 /// format (shared with the SimResult serializer in edc/sim/result_io).
@@ -78,12 +97,19 @@ using SpecFormatError = canon::FormatError;
 /// True when serialize() would succeed (no opaque factory callbacks).
 [[nodiscard]] bool is_cacheable(const SystemSpec& spec);
 
-/// Canonical byte string of the spec. Throws SpecFormatError when
+/// The key form: canonical byte string of the spec, each trace named by
+/// its sample count and SHA-256. Throws SpecFormatError when
 /// !is_cacheable(spec).
 [[nodiscard]] std::string serialize(const SystemSpec& spec);
 
-/// Inverse of serialize(). Strict: throws SpecFormatError on unknown or
-/// out-of-order fields, wrong version, truncation, or trailing bytes.
+/// The document form: like serialize(), but each trace lists its samples,
+/// so parse_spec() can read it back. Equals serialize(spec) for a spec
+/// without a trace. Throws SpecFormatError when !is_cacheable(spec).
+[[nodiscard]] std::string document(const SystemSpec& spec);
+
+/// Inverse of document(). Strict: throws SpecFormatError on unknown or
+/// out-of-order fields, wrong version, truncation, trailing bytes, or a
+/// trace in the key form.
 [[nodiscard]] SystemSpec parse_spec(const std::string& text);
 
 /// FNV-1a 64-bit over arbitrary bytes (the cache's content address).
@@ -97,11 +123,12 @@ using SpecFormatError = canon::FormatError;
 // ---- fleets ----------------------------------------------------------------
 // The FleetSpec container shares the version, the strictness contract and
 // the node-body byte format with single-node specs: each node is emitted
-// with exactly the serialize() field stream, wrapped in "node i" blocks,
-// followed by the coupling block. serialize_fleet(parse_fleet(text)) is
-// byte-identical, and fleet_hash is the content address sweep-level fleet
-// tooling reports (per-node cache keys remain the *lowered* node specs'
-// spec_hashes — see sweep/fleet.h).
+// with exactly the serialize() field stream (the key form), wrapped in
+// "node i" blocks, followed by the coupling block. For a fleet without a
+// trace node serialize_fleet(parse_fleet(text)) is byte-identical, and
+// fleet_hash is the content address sweep-level fleet tooling reports
+// (per-node cache keys remain the *lowered* node specs' spec_hashes — see
+// sweep/fleet.h).
 
 /// Empty string when every node of the fleet is canonically serializable;
 /// otherwise names the first offending node and its opaque-callback field.
@@ -114,7 +141,8 @@ using SpecFormatError = canon::FormatError;
 /// SpecFormatError when !is_cacheable(fleet).
 [[nodiscard]] std::string serialize_fleet(const FleetSpec& fleet);
 
-/// Inverse of serialize_fleet(). Strict, like parse_spec().
+/// Inverse of serialize_fleet() for fleets without trace nodes. Strict,
+/// like parse_spec().
 [[nodiscard]] FleetSpec parse_fleet(const std::string& text);
 
 /// fnv1a64(serialize_fleet(fleet)); throws when !is_cacheable(fleet).

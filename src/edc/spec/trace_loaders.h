@@ -8,7 +8,9 @@
 // becomes a VoltageTraceSource / PowerTraceSource carrying the waveform as
 // plain data. Because the waveform samples are part of the spec, loaded
 // traces serialize canonically like every other source — measured-dataset
-// sweeps are cacheable and shardable exactly like synthetic ones.
+// sweeps are cacheable and shardable exactly like synthetic ones. A cache
+// key names the samples by their SHA-256 (spec::serialize), and
+// spec::document writes them out in full.
 //
 //   spec::SystemSpec s;
 //   s.source = spec::load_power_trace_csv("datasets/office_pv.csv");

@@ -5,9 +5,10 @@
 // node substeps — can advance in lockstep with one source evaluation per
 // substep instant broadcast across all of them. batch_group_key() canonises
 // exactly those axes into a string key (via spec::serialize on a stripped
-// spec), so grouping is a hash-map partition; everything else — storage,
-// policy, workload, horizon, probes, governor, macro flags — varies freely
-// within a group. Points whose source cannot be shared (custom factories,
+// spec, so a recorded trace enters by its sample count and SHA-256 and the
+// key stays ~1 KB), so grouping is a map partition; everything else —
+// storage, policy, workload, horizon, probes, governor, macro flags —
+// varies freely within a group. Points whose source cannot be shared (custom factories,
 // unset sources) get no key and take the scalar path unchanged.
 //
 // With RunnerOptions::batch the Runner groups a run's cache-cold points by
@@ -36,7 +37,7 @@ namespace edc::sweep {
 inline constexpr char kProvenanceScalar = 's';  ///< scalar Simulator, per-point wall time
 inline constexpr char kProvenanceBatch = 'b';   ///< SoA kernel, amortized lane cost
 
-/// The lockstep grouping key: a canonical serialization of exactly the
+/// The lockstep grouping key: the key form (spec::serialize) of exactly the
 /// axes every lane of a sim::BatchKernel must share (source + front-end
 /// + dt + node_substeps, embedded in an otherwise default spec). Returns
 /// nullopt when the point cannot join a group: custom source factories

@@ -90,7 +90,11 @@ std::filesystem::path Cache::versioned_directory() const {
 }
 
 std::filesystem::path Cache::entry_path(const std::string& key_text) const {
-  const std::string hex = hex16(spec::fnv1a64(key_text));
+  return entry_path(spec::fnv1a64(key_text));
+}
+
+std::filesystem::path Cache::entry_path(std::uint64_t key_hash) const {
+  const std::string hex = hex16(key_hash);
   return versioned_directory() / hex.substr(0, 2) / (hex + ".edcres");
 }
 
@@ -101,8 +105,8 @@ bool Cache::quarantine_entry(const std::filesystem::path& path) {
 }
 
 std::optional<CachedPoint> Cache::load(const std::string& key_text) const {
-  const std::filesystem::path path = entry_path(key_text);
   const std::uint64_t key_hash = spec::fnv1a64(key_text);
+  const std::filesystem::path path = entry_path(key_hash);
   if (fault_injector_ != nullptr && fault_injector_->fail_read(key_hash)) {
     // An injected transient I/O error: the entry is unreadable this time
     // (not corrupt — nothing to quarantine), so degrade to a miss.
@@ -186,8 +190,8 @@ std::string Cache::fsck_entry(const std::filesystem::path& path) {
 
 void Cache::store(const std::string& key_text, const sim::SimResult& result,
                   double micros, char provenance) const {
-  const std::filesystem::path path = entry_path(key_text);
   const std::uint64_t key_hash = spec::fnv1a64(key_text);
+  const std::filesystem::path path = entry_path(key_hash);
   std::error_code ec;
   std::filesystem::create_directories(path.parent_path(), ec);
   if (ec) return;  // unwritable cache never fails the sweep

@@ -7,6 +7,12 @@
 // re-simulating the rest of the grid, and repeated bench invocations with
 // an unchanged spec simulate nothing at all.
 //
+// The key is spec::serialize's key form: a recorded trace enters it as its
+// sample count and SHA-256, not sample by sample, so a key stays ~1-2 KB
+// however long the trace. Two traces share a key only if their samples are
+// bit-identical (SHA-256 collisions cannot be constructed; a 64-bit digest
+// could be forced to collide), so a digest never makes a wrong row.
+//
 //   sweep::Cache cache("/tmp/edc-cache");
 //   sweep::RunnerOptions options;
 //   options.cache = &cache;
@@ -140,6 +146,9 @@ class Cache {
   [[nodiscard]] std::filesystem::path entry_path(const std::string& key_text) const;
 
  private:
+  /// The entry path for a key whose FNV-1a-64 is `key_hash`.
+  [[nodiscard]] std::filesystem::path entry_path(std::uint64_t key_hash) const;
+
   std::filesystem::path dir_;
   const FaultInjector* fault_injector_ = nullptr;
   mutable std::atomic<std::uint64_t> hits_{0};

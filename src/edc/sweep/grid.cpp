@@ -53,8 +53,9 @@ Grid& Grid::voltage_trace_dir_axis(std::string name, const std::string& dataset_
                                    Ohms series_resistance) {
   std::vector<AxisValue> values;
   for (const auto& path : spec::list_trace_csvs(dataset_dir)) {
-    // Load eagerly, once: every grid point then shares the same immutable
-    // waveform data instead of re-reading the file per instantiation.
+    // Load eagerly, once: every grid point then shares the loaded sample
+    // block (a Waveform copy is O(1)) instead of re-reading the file per
+    // instantiation.
     auto source = spec::load_voltage_trace_csv(path, series_resistance);
     std::string label = source.label;
     values.push_back(AxisValue{std::move(label),

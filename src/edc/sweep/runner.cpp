@@ -54,8 +54,8 @@ std::vector<sim::SimResult> Runner::execute(const Grid& grid,
   };
   Cache* cache = options_.cache;
   // The canonical cache key of a spec, or "" when there is no cache or the
-  // spec is non-cacheable. Keys of recorded-trace specs run to megabytes,
-  // so nothing holds one beyond the load or store that needs it.
+  // spec is non-cacheable. A recorded trace enters the key by its SHA-256,
+  // so a key is ~1-2 KB and cheap to rebuild at the store.
   const auto cache_key = [cache](const spec::SystemSpec& spec) {
     return cache != nullptr && spec::is_cacheable(spec) ? spec::serialize(spec)
                                                         : std::string();

@@ -1,17 +1,46 @@
 #include "edc/trace/waveform.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string_view>
 
 #include "edc/common/check.h"
+#include "edc/common/sha256.h"
 
 namespace edc::trace {
 
+namespace {
+
+/// SHA-256 of the samples' binary64 bit patterns, little-endian.
+std::string hash_samples(const std::vector<double>& samples) {
+  static_assert(std::numeric_limits<double>::is_iec559 && sizeof(double) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    return sha256_hex({reinterpret_cast<const char*>(samples.data()),
+                       samples.size() * sizeof(double)});
+  } else {
+    std::string bytes(samples.size() * sizeof(double), '\0');
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const auto bits = std::bit_cast<std::uint64_t>(samples[i]);
+      for (std::size_t b = 0; b < sizeof(double); ++b) {
+        bytes[sizeof(double) * i + b] = static_cast<char>(bits >> (8 * b));
+      }
+    }
+    return sha256_hex(bytes);
+  }
+}
+
+}  // namespace
+
 Waveform::Waveform(Seconds t0, Seconds dt, std::vector<double> samples)
-    : t0_(t0), dt_(dt), samples_(std::move(samples)) {
-  EDC_CHECK(samples_.size() < 2 || dt_ > 0.0, "sample spacing must be positive");
+    : t0_(t0), dt_(dt) {
+  EDC_CHECK(samples.size() < 2 || dt_ > 0.0, "sample spacing must be positive");
+  block_ = std::make_shared<Block>(std::move(samples));
+  data_ = block_->samples.data();
+  size_ = block_->samples.size();
 }
 
 Waveform Waveform::sample(const std::function<double(Seconds)>& fn, Seconds t0,
@@ -26,60 +55,68 @@ Waveform Waveform::sample(const std::function<double(Seconds)>& fn, Seconds t0,
   return Waveform(t0, dt, std::move(samples));
 }
 
+const std::string& Waveform::digest() const {
+  static const std::string kEmpty = sha256_hex({});
+  if (!block_) return kEmpty;
+  std::call_once(block_->digest_once,
+                 [this] { block_->digest = hash_samples(block_->samples); });
+  return block_->digest;
+}
+
 Seconds Waveform::t_end() const noexcept {
-  if (samples_.size() < 2) return t0_;
-  return t0_ + dt_ * static_cast<double>(samples_.size() - 1);
+  if (size_ < 2) return t0_;
+  return t0_ + dt_ * static_cast<double>(size_ - 1);
 }
 
 double Waveform::at(Seconds t) const {
-  EDC_CHECK(!samples_.empty(), "empty waveform");
-  if (samples_.size() == 1 || t <= t0_) return samples_.front();
-  if (t >= t_end()) return samples_.back();
+  EDC_CHECK(size_ != 0, "empty waveform");
+  if (size_ == 1 || t <= t0_) return data_[0];
+  if (t >= t_end()) return data_[size_ - 1];
   const double pos = (t - t0_) / dt_;
   const auto idx = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(idx);
-  return samples_[idx] + frac * (samples_[idx + 1] - samples_[idx]);
+  return data_[idx] + frac * (data_[idx + 1] - data_[idx]);
 }
 
 Waveform Waveform::map(const std::function<double(double)>& fn) const {
-  std::vector<double> out(samples_.size());
-  std::transform(samples_.begin(), samples_.end(), out.begin(), fn);
+  std::vector<double> out(size_);
+  std::transform(data_, data_ + size_, out.begin(), fn);
   return Waveform(t0_, dt_, std::move(out));
 }
 
 Waveform Waveform::resample(std::size_t n) const {
-  EDC_CHECK(!samples_.empty(), "empty waveform");
+  EDC_CHECK(size_ != 0, "empty waveform");
   return sample([this](Seconds t) { return at(t); }, t0_, t_end(), n);
 }
 
 double Waveform::min() const {
-  EDC_CHECK(!samples_.empty(), "empty waveform");
-  return *std::min_element(samples_.begin(), samples_.end());
+  EDC_CHECK(size_ != 0, "empty waveform");
+  return *std::min_element(data_, data_ + size_);
 }
 
 double Waveform::max() const {
-  EDC_CHECK(!samples_.empty(), "empty waveform");
-  return *std::max_element(samples_.begin(), samples_.end());
+  EDC_CHECK(size_ != 0, "empty waveform");
+  return *std::max_element(data_, data_ + size_);
 }
 
 double Waveform::mean() const {
-  EDC_CHECK(!samples_.empty(), "empty waveform");
-  const double sum = std::accumulate(samples_.begin(), samples_.end(), 0.0);
-  return sum / static_cast<double>(samples_.size());
+  EDC_CHECK(size_ != 0, "empty waveform");
+  const double sum = std::accumulate(data_, data_ + size_, 0.0);
+  return sum / static_cast<double>(size_);
 }
 
 double Waveform::rms() const {
-  EDC_CHECK(!samples_.empty(), "empty waveform");
+  EDC_CHECK(size_ != 0, "empty waveform");
   double sq = 0.0;
-  for (double s : samples_) sq += s * s;
-  return std::sqrt(sq / static_cast<double>(samples_.size()));
+  for (std::size_t i = 0; i < size_; ++i) sq += data_[i] * data_[i];
+  return std::sqrt(sq / static_cast<double>(size_));
 }
 
 double Waveform::integral() const {
-  if (samples_.size() < 2) return 0.0;
+  if (size_ < 2) return 0.0;
   double acc = 0.0;
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    acc += 0.5 * (samples_[i - 1] + samples_[i]) * dt_;
+  for (std::size_t i = 1; i < size_; ++i) {
+    acc += 0.5 * (data_[i - 1] + data_[i]) * dt_;
   }
   return acc;
 }

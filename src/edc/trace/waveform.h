@@ -4,10 +4,16 @@
 // front-end, the simulator's probes, and the CSV/plot utilities. Samples are
 // uniformly spaced starting at t0; evaluation between samples interpolates
 // linearly, and evaluation outside the span clamps to the end samples.
+//
+// The samples are immutable once built and every copy shares them, so
+// copying a recorded trace (into a grid point, a probe spec, a source) is
+// O(1). digest() names them by content for cache keys.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,27 +33,36 @@ class Waveform {
   static Waveform sample(const std::function<double(Seconds)>& fn, Seconds t0,
                          Seconds t1, std::size_t n);
 
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
+  /// Copies share the sample block. Declaring the copies leaves no move:
+  /// a "move" copies the handle too, so the source keeps a valid view.
+  Waveform(const Waveform&) = default;
+  Waveform& operator=(const Waveform&) = default;
+
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] Seconds t0() const noexcept { return t0_; }
   [[nodiscard]] Seconds dt() const noexcept { return dt_; }
   [[nodiscard]] Seconds t_end() const noexcept;
-  [[nodiscard]] const std::vector<double>& samples() const noexcept { return samples_; }
+  [[nodiscard]] const std::vector<double>& samples() const noexcept {
+    return block_ ? block_->samples : kNoSamples;
+  }
+
+  /// SHA-256 of the samples' binary64 bit patterns in little-endian byte
+  /// order, as 64 hex digits. Computed on the first call and kept in the
+  /// shared block, so copies and threads compute it once between them.
+  [[nodiscard]] const std::string& digest() const;
 
   /// Linear interpolation; clamps outside [t0, t_end].
   [[nodiscard]] double at(Seconds t) const;
 
-  [[nodiscard]] double front() const { return samples_.front(); }
-  [[nodiscard]] double back() const { return samples_.back(); }
+  [[nodiscard]] double front() const { return data_[0]; }
+  [[nodiscard]] double back() const { return data_[size_ - 1]; }
 
   /// Element-wise transform (e.g. unit conversion).
   [[nodiscard]] Waveform map(const std::function<double(double)>& fn) const;
 
   /// Resamples onto a new uniform grid spanning the same interval.
   [[nodiscard]] Waveform resample(std::size_t n) const;
-
-  /// Appends one sample, extending the time span by dt.
-  void push_back(double value) { samples_.push_back(value); }
 
   double min() const;
   double max() const;
@@ -58,9 +73,21 @@ class Waveform {
   double integral() const;
 
  private:
+  struct Block {
+    explicit Block(std::vector<double> values) : samples(std::move(values)) {}
+    std::vector<double> samples;
+    mutable std::once_flag digest_once;
+    mutable std::string digest;
+  };
+  static inline const std::vector<double> kNoSamples;
+
   Seconds t0_ = 0.0;
   Seconds dt_ = 0.0;
-  std::vector<double> samples_;
+  std::shared_ptr<const Block> block_;  // null only when default-constructed
+  // block_->samples' data and size beside the handle, so at() reads a
+  // sample with no extra dependent load.
+  const double* data_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 /// Precomputed nonzero-segment index over a Waveform, for O(log n) activity
@@ -73,7 +100,7 @@ class Waveform {
 /// cells become time segments; the clamped extrapolation beyond the sample
 /// span extends the first/last segment to ±infinity when the edge sample is
 /// nonzero. The index is built once at construction (sources build it next
-/// to their waveform copy) and is immutable afterwards, so it is safe to
+/// to their waveform) and is immutable afterwards, so it is safe to
 /// query from sweep worker threads.
 class ActivityIndex {
  public:

@@ -144,8 +144,8 @@ std::vector<Codec> codecs(const std::shared_ptr<const CacheFixture>& fixture) {
   fleet.nodes = {sim::parse_result(fixture->row), sim::parse_result(fixture->row)};
   return {
       {"parse_spec",
-       {spec::serialize(cheap_spec()), spec::serialize(traced_governed_spec())},
-       [](const std::string& x) { return spec::serialize(spec::parse_spec(x)); }},
+       {spec::document(cheap_spec()), spec::document(traced_governed_spec())},
+       [](const std::string& x) { return spec::document(spec::parse_spec(x)); }},
       {"parse_fleet",
        {spec::serialize_fleet(spec::example_rf_fleet(2))},
        [](const std::string& x) { return spec::serialize_fleet(spec::parse_fleet(x)); }},
@@ -285,6 +285,14 @@ void run_suite(const Codec& codec) {
   }
   EXPECT_EQ(failures, 0) << codec.name << ": " << failures << " violations in " << mutants
                          << " mutants";
+}
+
+TEST(ParserMutation, SpecDocumentsParseToTheirKeysAndKeysAreNotDocuments) {
+  for (const spec::SystemSpec& s : {cheap_spec(), traced_governed_spec()}) {
+    EXPECT_EQ(spec::serialize(spec::parse_spec(spec::document(s))), spec::serialize(s));
+  }
+  EXPECT_THROW((void)spec::parse_spec(spec::serialize(traced_governed_spec())),
+               canon::FormatError);
 }
 
 TEST(ParserMutation, EveryParserRejectsLoudlyOrRoundTrips) {

@@ -4,6 +4,7 @@
 // by a golden file, and the non_cacheable opt-out for opaque callbacks.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "edc/checkpoint/null_policy.h"
@@ -21,6 +23,7 @@
 #include "edc/spec/serialize.h"
 #include "edc/spec/system_spec.h"
 #include "edc/sweep/cache.h"
+#include "edc/sweep/grid.h"
 #include "edc/workloads/program.h"
 
 namespace {
@@ -335,11 +338,66 @@ TEST(SpecSerial, PinnedResultRowsRoundTripByteIdentically) {
 TEST(SpecSerial, RoundTripIsByteIdentical) {
   for (const NamedSpec& named : covering_specs()) {
     SCOPED_TRACE(named.name);
-    const std::string text = spec::serialize(named.spec);
+    const std::string text = spec::document(named.spec);
     const spec::SystemSpec reparsed = spec::parse_spec(text);
-    EXPECT_EQ(text, spec::serialize(reparsed));
+    EXPECT_EQ(text, spec::document(reparsed));
+    EXPECT_EQ(spec::serialize(reparsed), spec::serialize(named.spec));
     EXPECT_EQ(spec::spec_hash(named.spec), spec::spec_hash(reparsed));
   }
+}
+
+bool has_trace(const spec::SystemSpec& s) {
+  return std::holds_alternative<spec::VoltageTraceSource>(s.source) ||
+         std::holds_alternative<spec::PowerTraceSource>(s.source);
+}
+
+TEST(SpecSerial, DocumentEqualsKeyWithoutATrace) {
+  std::size_t traced = 0;
+  for (const NamedSpec& named : covering_specs()) {
+    SCOPED_TRACE(named.name);
+    if (has_trace(named.spec)) {
+      ++traced;
+      EXPECT_NE(spec::document(named.spec), spec::serialize(named.spec));
+    } else {
+      EXPECT_EQ(spec::document(named.spec), spec::serialize(named.spec));
+    }
+  }
+  EXPECT_EQ(traced, 2u);
+}
+
+TEST(SpecSerial, KeyFormOfATraceIsNotADocument) {
+  for (const NamedSpec& named : covering_specs()) {
+    if (!has_trace(named.spec)) continue;
+    SCOPED_TRACE(named.name);
+    EXPECT_THROW((void)spec::parse_spec(spec::serialize(named.spec)),
+                 spec::SpecFormatError);
+  }
+}
+
+// A recorded trace enters the key by count and digest, so the key of a
+// 400,001-sample trace is as small as any other, and grid points copy the
+// trace without copying its samples.
+TEST(SpecSerial, KeyNamesALongTraceByItsDigest) {
+  spec::SystemSpec s = base_spec();
+  const trace::Waveform wave = trace::Waveform::sample(
+      [](Seconds t) { return 3.0 + std::sin(25.0 * t); }, 0.0, 4.0, 400001);
+  s.source = spec::VoltageTraceSource{wave, 50.0, "gust.csv"};
+
+  const std::string key = spec::serialize(s);
+  EXPECT_LT(key.size(), 2048u);
+  EXPECT_EQ(key.find("samples"), std::string::npos);
+  EXPECT_NE(key.find("\n      count 400001\n      sha256 " + wave.digest() + "\n"),
+            std::string::npos)
+      << key;
+  EXPECT_GT(spec::document(s).size(), 400001u);
+
+  sweep::Grid grid(s);
+  grid.capacitance_axis({10e-6, 22e-6});
+  const auto samples_of = [](const sweep::Point& point) {
+    return std::get<spec::VoltageTraceSource>(point.spec.source).wave.samples().data();
+  };
+  EXPECT_EQ(samples_of(grid.point(0)), samples_of(grid.point(1)));
+  EXPECT_EQ(samples_of(grid.point(0)), wave.samples().data());
 }
 
 TEST(SpecSerial, SerializationIsDeterministicWithinRun) {
@@ -540,12 +598,18 @@ std::string stored_entry_bytes() {
 
 const std::vector<GoldenFile>& golden_registry() {
   static const std::vector<GoldenFile> registry = {
-      {"spec_hashes.txt", "covering SystemSpecs (spec::spec_hash)", spec_format(),
-       "spec::kSpecFormatVersion",
+      {"spec_hashes.txt",
+       "covering SystemSpecs (spec::spec_hash; <name>.document: the\n"
+       "# spec::document form of the specs with a trace)",
+       spec_format(), "spec::kSpecFormatVersion",
        [] {
          std::map<std::string, std::string> entries;
          for (const NamedSpec& named : covering_specs()) {
            entries[named.name] = hash_hex(spec::spec_hash(named.spec));
+           if (has_trace(named.spec)) {
+             entries[named.name + ".document"] =
+                 hash_hex(spec::fnv1a64(spec::document(named.spec)));
+           }
          }
          return entries;
        }},

@@ -4,10 +4,12 @@
 // round-trips through its canonical serialization byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "edc/sim/result_io.h"
@@ -220,6 +222,65 @@ TEST(SweepCache, CorruptOrForeignEntriesDegradeToMisses) {
                              std::filesystem::copy_options::overwrite_existing);
   EXPECT_FALSE(cache.load(key).has_value());
   EXPECT_TRUE(cache.load(other_key).has_value());
+}
+
+// Two traces that differ only in one sample's sign bit (0.0 vs -0.0) have
+// different digests, so different keys: a cache filled for one misses for
+// the other and simulates it, never replaying the other trace's row.
+TEST(SweepCache, TracesDifferingInOneSampleBitNeverShareAnEntry) {
+  std::vector<double> samples(2001);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = (i / 100) % 2 == 0 ? 4.0 : 0.0;
+  }
+  const auto traced = [&samples] {
+    spec::SystemSpec s = cheap_spec();
+    s.source = spec::VoltageTraceSource{trace::Waveform(0.0, 2e-4, samples), 50.0,
+                                        "gust.csv"};
+    return s;
+  };
+  const spec::SystemSpec a = traced();
+  samples[1500] = -0.0;
+  const spec::SystemSpec b = traced();
+  EXPECT_NE(std::get<spec::VoltageTraceSource>(a.source).wave.digest(),
+            std::get<spec::VoltageTraceSource>(b.source).wave.digest());
+  const std::string key_a = spec::serialize(a);
+  const std::string key_b = spec::serialize(b);
+  EXPECT_NE(key_a, key_b);
+
+  sweep::Cache cache(fresh_cache_dir("trace_bits"));
+  sweep::RunnerOptions options;
+  options.cache = &cache;
+  (void)sweep::Runner(options).run(sweep::Grid(a));
+  EXPECT_TRUE(cache.load(key_a).has_value());
+  EXPECT_FALSE(cache.load(key_b).has_value());
+  cache.reset_stats();
+  (void)sweep::Runner(options).run(sweep::Grid(b));
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().stores, 1u);
+  EXPECT_TRUE(cache.load(key_b).has_value());
+}
+
+// Every point of a trace grid shares one sample block, so parallel workers
+// build their keys from one lazily computed digest (the race TSan watches).
+TEST(SweepCache, ParallelTraceGridKeysShareOneDigest) {
+  spec::SystemSpec base = cheap_spec();
+  const trace::Waveform wave = trace::Waveform::sample(
+      [](Seconds t) { return 3.0 + 2.0 * std::sin(60.0 * t); }, 0.0, 0.4, 4001);
+  base.source = spec::VoltageTraceSource{wave, 50.0, "gust.csv"};
+  sweep::Grid grid(base);
+  grid.capacitance_axis({10e-6, 15e-6, 22e-6, 33e-6, 47e-6, 68e-6, 100e-6, 150e-6});
+
+  sweep::Cache cache(fresh_cache_dir("trace_parallel"));
+  sweep::RunnerOptions options;
+  options.threads = 4;
+  options.cache = &cache;
+  const auto cold = sweep::Runner(options).run(grid);
+  EXPECT_EQ(cache.stats().stores, grid.size());
+  const auto warm = sweep::Runner(options).run(grid);
+  EXPECT_EQ(cache.stats().hits, grid.size());
+  EXPECT_EQ(serialized_rows(cold), serialized_rows(warm));
+  EXPECT_NE(spec::serialize(grid.point(0).spec).find("sha256 " + wave.digest()),
+            std::string::npos);
 }
 
 TEST(SweepCache, WallTimeSurvivesTheEntryRoundTrip) {

@@ -1,9 +1,13 @@
 // Unit tests for the energy-environment substrate (edc/trace).
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "edc/common/sha256.h"
 #include "edc/trace/csv.h"
 #include "edc/trace/power_sources.h"
 #include "edc/trace/rng.h"
@@ -114,6 +118,70 @@ TEST(Waveform, EmptyThrows) {
   EXPECT_TRUE(wave.empty());
   EXPECT_THROW(wave.at(0.0), std::invalid_argument);
   EXPECT_THROW(wave.min(), std::invalid_argument);
+}
+
+TEST(Waveform, CopiesShareOneSampleBlock) {
+  const auto wave = Waveform::sample([](Seconds t) { return t; }, 0.0, 1.0, 1001);
+  const Waveform copy = wave;
+  EXPECT_EQ(copy.samples().data(), wave.samples().data());
+  EXPECT_EQ(&copy.digest(), &wave.digest());
+}
+
+// The digest hashes the samples' binary64 bit patterns, little-endian:
+// expected values from coreutils sha256sum over those bytes.
+TEST(Waveform, DigestHashesLittleEndianBitPatterns) {
+  // 00 00 00 00 00 00 f0 3f | 00 00 00 00 00 00 00 00
+  EXPECT_EQ(Waveform(0.0, 1.0, {1.0, 0.0}).digest(),
+            "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65");
+  // 00 00 00 00 00 00 f0 3f | 00 00 00 00 00 00 00 80
+  EXPECT_EQ(Waveform(0.0, 1.0, {1.0, -0.0}).digest(),
+            "5e9d905ef08923718da5998eb8ae14dc75a714656224d3753b679523d5a268d9");
+  EXPECT_EQ(Waveform().digest(), sha256_hex(""));
+}
+
+TEST(Waveform, DigestIsOneValueAcrossThreads) {
+  const auto wave =
+      Waveform::sample([](Seconds t) { return std::sin(40.0 * t); }, 0.0, 1.0, 200001);
+  std::vector<std::string> seen(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&seen, i, copy = wave] { seen[i] = copy.digest(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::string bytes(reinterpret_cast<const char*>(wave.samples().data()),
+                          wave.size() * sizeof(double));
+  for (const std::string& digest : seen) EXPECT_EQ(digest, sha256_hex(bytes));
+  EXPECT_EQ(wave.digest(), seen[0]);
+}
+
+// ------------------------------------------------------------- SHA-256 -----
+
+TEST(Sha256, MatchesFips180Vectors) {
+  EXPECT_EQ(sha256_hex(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(sha256_hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(sha256_hex(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Lengths around the padding boundaries (one block or two for the tail).
+// Input byte i is '0' + i % 75; expected values from coreutils sha256sum.
+TEST(Sha256, MatchesSha256sumAroundBlockBoundaries) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "82ea60b904f221aee687a3fbf1c16e07b95cc4a66a5396fbba94d5c0c39a7741"},
+      {56, "e3bdd54aee96296d602f4b1b4e105c2f2239d3826ec771fd0e100b8fca82c36e"},
+      {63, "b7e43a2b31c1de0eac8ddf82620722f442a2df154b0acca01ee51c696c2d3924"},
+      {64, "c42debc003290127e664a5c857c6e454cff4a7d512fcb8e5a942fb0d9c045e5f"},
+      {65, "01ffe19716b8afac6c8c303f230f702106e7768dc31dec15c46f4e96c783d07e"},
+  };
+  for (const auto& [length, expected] : cases) {
+    std::string input;
+    for (std::size_t i = 0; i < length; ++i) input += static_cast<char>('0' + i % 75);
+    EXPECT_EQ(sha256_hex(input), expected) << length << " bytes";
+  }
 }
 
 // ------------------------------------------------------------- Outages -----

@@ -14,8 +14,9 @@
 //
 //   design_query --spec system.spec --axis capacitance --lo 1e-6 --hi 1e-3 \
 //                --objective brownouts --target 0 --tol 1e-6
-//       The same question on any canonical spec (see spec/serialize.h;
-//       "-" reads the spec from stdin, --print-spec emits the demo's).
+//       The same question on any spec document (see spec/serialize.h;
+//       "-" reads the spec from stdin, --print-spec emits the demo's, so
+//       `design_query --print-spec | design_query --spec - ...` round-trips).
 //
 // Axes: capacitance, bleed, t-end (horizon), frequency, duty, amplitude
 // (the last three mutate the source in place and require a compatible
@@ -412,7 +413,7 @@ int main(int argc, char** argv) {
     }
   }
   if (print_spec) {
-    std::cout << spec::serialize(base);
+    std::cout << spec::document(base);
     return 0;
   }
 
