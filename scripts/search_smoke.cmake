@@ -8,7 +8,9 @@
 #     most 25% of the dense-equivalent grid (24 of 98 points);
 #   * the warm rerun of the same query simulates ZERO points;
 #   * design_query --demo brackets the minimum wind-surviving capacitance
-#     cold, and its warm rerun also simulates zero points.
+#     cold, and its warm rerun also simulates zero points;
+#   * the spec document design_query --print-spec writes reads back through
+#     --spec to the same bytes.
 #
 # Invoked as:
 #   cmake -DEQ5=<eq5_crossover> -DDQ=<design_query> -DGATE=<bench_gate>
@@ -73,6 +75,20 @@ execute_process(
   RESULT_VARIABLE gate_result OUTPUT_VARIABLE gate_out)
 if(NOT gate_result EQUAL 0)
   message(FATAL_ERROR "probe-budget gates failed:\n${gate_out}")
+endif()
+
+# 5. The printed spec document reads back through --spec unchanged.
+execute_process(
+  COMMAND ${DQ} --demo --print-spec
+  OUTPUT_FILE ${WORK}/demo.spec RESULT_VARIABLE print_result)
+execute_process(
+  COMMAND ${DQ} --spec ${WORK}/demo.spec --print-spec
+  OUTPUT_FILE ${WORK}/demo_again.spec RESULT_VARIABLE reprint_result)
+file(READ ${WORK}/demo.spec demo_spec)
+file(READ ${WORK}/demo_again.spec demo_spec_again)
+if(NOT print_result EQUAL 0 OR NOT reprint_result EQUAL 0 OR
+   NOT demo_spec STREQUAL demo_spec_again)
+  message(FATAL_ERROR "design_query --print-spec does not read back through --spec")
 endif()
 
 message(STATUS "search smoke: solver bracket verified, warm reruns simulate zero points\n${gate_out}")

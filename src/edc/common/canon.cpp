@@ -224,10 +224,10 @@ void Reader::wave(trace::Waveform& w) {
   std::vector<double> samples;
   (*this)("t0", t0);
   (*this)("dt", dt);
-  const std::size_t indent = static_cast<std::size_t>(2 * depth_);
-  if (pos_ < lines_.size() && lines_[pos_].size() > indent &&
-      (lines_[pos_].substr(indent).starts_with("count ") ||
-       lines_[pos_].substr(indent).starts_with("sha256 "))) {
+  const std::string_view next = pos_ < lines_.size() ? lines_[pos_] : "";
+  const std::string_view field =
+      next.substr(std::min(next.size(), static_cast<std::size_t>(2 * depth_)));
+  if (field.starts_with("count ") || field.starts_with("sha256 ")) {
     throw FormatError(
         "trace named by count and sha256, not by its samples: a cache key is not "
         "a spec document (spec::document writes one)");

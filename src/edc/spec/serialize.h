@@ -22,10 +22,10 @@
 // canonical order, and throws SpecFormatError on anything else (unknown
 // fields, missing fields, trailing garbage, version mismatch). That
 // strictness is what makes the format safe to hash: two specs share a key
-// only if they are semantically identical. Equal key text means equal
-// samples, because SHA-256 collisions are not constructible (a 64-bit
-// digest's would be); an FNV-64 collision between key texts is a miss,
-// because the cache stores the full key text.
+// only if they are semantically identical. Equal key text means
+// bit-identical samples, because no one can construct a SHA-256 collision
+// (a 64-bit digest could be forced to collide); an FNV-64 collision between
+// key texts is only a miss, because the cache stores the full key text.
 //
 // Custom factory callbacks (CustomVoltageSource, CustomPowerSource,
 // CustomPolicy, WorkloadSpec::factory, a hibernus++ capacitance_probe)

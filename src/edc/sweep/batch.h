@@ -8,8 +8,9 @@
 // spec, so a recorded trace enters by its sample count and SHA-256 and the
 // key stays ~1 KB), so grouping is a map partition; everything else —
 // storage, policy, workload, horizon, probes, governor, macro flags —
-// varies freely within a group. Points whose source cannot be shared (custom factories,
-// unset sources) get no key and take the scalar path unchanged.
+// varies freely within a group. Points whose source cannot be shared
+// (custom factories, unset sources) get no key and take the scalar path
+// unchanged.
 //
 // With RunnerOptions::batch the Runner groups a run's cache-cold points by
 // this key, chunks each group into <= batch_lanes lanes and executes the

@@ -33,8 +33,9 @@ class Waveform {
   static Waveform sample(const std::function<double(Seconds)>& fn, Seconds t0,
                          Seconds t1, std::size_t n);
 
-  /// Copies share the sample block. Declaring the copies leaves no move:
-  /// a "move" copies the handle too, so the source keeps a valid view.
+  /// Copies share the sample block in O(1). There are no move operations:
+  /// a move copies the handle, so a moved-from waveform keeps its samples
+  /// and data_ never outlives its block.
   Waveform(const Waveform&) = default;
   Waveform& operator=(const Waveform&) = default;
 

@@ -369,8 +369,14 @@ TEST(SpecSerial, KeyFormOfATraceIsNotADocument) {
   for (const NamedSpec& named : covering_specs()) {
     if (!has_trace(named.spec)) continue;
     SCOPED_TRACE(named.name);
-    EXPECT_THROW((void)spec::parse_spec(spec::serialize(named.spec)),
-                 spec::SpecFormatError);
+    try {
+      (void)spec::parse_spec(spec::serialize(named.spec));
+      ADD_FAILURE() << "a key naming its trace by digest parsed";
+    } catch (const spec::SpecFormatError& error) {
+      EXPECT_NE(std::string(error.what()).find("a cache key is not a spec document"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

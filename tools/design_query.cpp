@@ -16,7 +16,8 @@
 //                --objective brownouts --target 0 --tol 1e-6
 //       The same question on any spec document (see spec/serialize.h;
 //       "-" reads the spec from stdin, --print-spec emits the demo's, so
-//       `design_query --print-spec | design_query --spec - ...` round-trips).
+//       `design_query --demo --print-spec | design_query --spec - ...`
+//       round-trips).
 //
 // Axes: capacitance, bleed, t-end (horizon), frequency, duty, amplitude
 // (the last three mutate the source in place and require a compatible
