@@ -29,56 +29,45 @@
 // --batch runs the grid through the batched SoA kernel (sweep/batch.h) —
 // bit-identical rows, amortized lane-cost timings tagged provenance 'b'.
 //
-// --solve answers the crossover question with sweep::Search instead of the
-// dense sweep: bracketed bisection over a *refined* frequency lattice
-// (5 Hz .. 320 Hz, 8 points per octave — 49 frequencies where the dense
-// sweep has 7) locates the crossover cell in O(log) probes. The dense
-// seven frequencies are an exact floating-point sub-lattice (5 * 2^k =
-// lattice[8k]), so probe specs — and therefore cache keys and rows — are
-// byte-identical with the dense sweep's at shared frequencies.
-// --solve-check runs the solver *first* (cold-probe accounting stays
-// honest), then the dense grid, and asserts the refined bracket lies
-// inside the dense crossover cell. --search-csv FILE appends the
-// "name,probes,simulated,warm,grid_points" telemetry row bench_gate
-// --points-gate asserts in CI (--search-name renames it, default
-// Eq5Solve).
+// The solver-guided form of the same question (sweep::Search bisecting a
+// refined 49-frequency lattice for the crossover cell) is pinned, with its
+// probe budget, in tests/search_test.cpp.
 //
-// --shard-plan TIMING.csv closes the cost-weighted sharding loop (ROADMAP)
-// end to end: an unsharded run *emits* the per-point timing CSV
+// --shard-plan PLAN.csv closes the cost-weighted sharding loop end to end:
+// an unsharded run *emits* the per-point cost plan
 // ("index,micros,provenance" — measured, or replayed from the cache on a
 // warm grid), and a --shard k/N run *consumes* it, replacing index
 // striding with the LPT-balanced partition of
 // sweep::ShardAssignment::balanced. A plan mixing scalar and batch
-// provenance is rejected (amortized lane costs are not comparable with
-// per-point wall times) unless --mixed-plan-ok. Every shard
-// process computes the identical partition from the identical file, and
-// the v2 shard CSVs merge through sweep_merge exactly like striding ones:
+// provenance is rejected: amortized lane costs are not comparable with
+// per-point wall times. Every shard process computes the identical
+// partition from the identical file, and the v2 shard CSVs merge through
+// sweep_merge exactly like striding ones:
 //
-//   eq5_crossover --csv base.csv --cache c --shard-plan timing.csv   # emit
-//   eq5_crossover --shard 0/2 --csv a.csv --cache c --shard-plan timing.csv
-//   eq5_crossover --shard 1/2 --csv b.csv --cache c --shard-plan timing.csv
+//   eq5_crossover --csv base.csv --cache c --shard-plan plan.csv   # emit
+//   eq5_crossover --shard 0/2 --csv a.csv --cache c --shard-plan plan.csv
+//   eq5_crossover --shard 1/2 --csv b.csv --cache c --shard-plan plan.csv
 //   sweep_merge merged.csv a.csv b.csv     # == base.csv, LPT-balanced run
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common_flags.h"
 #include "edc/checkpoint/thresholds.h"
 #include "edc/core/system.h"
 #include "edc/sim/table.h"
-#include "edc/spec/fleet_spec.h"
 #include "edc/sweep/cache.h"
-#include "edc/sweep/fleet.h"
 #include "edc/sweep/grid.h"
 #include "edc/sweep/report.h"
 #include "edc/sweep/runner.h"
-#include "edc/sweep/search.h"
 #include "edc/workloads/fft.h"
 
 using namespace edc;
@@ -99,22 +88,7 @@ double joules_per_mcycle(const sim::SimResult& result) {
   return result.mcu.energy_total() / (result.mcu.forward_cycles / 1e6);
 }
 
-/// The --solve frequency lattice: 5 Hz .. 320 Hz at 8 points per octave
-/// (49 values; dense-equivalent grid 49 x 2 policies = 98 points). The
-/// dense sweep's seven frequencies are the exact floating-point
-/// sub-lattice at i = 8k (ldexp keeps 5 * 2^k exact; pow(2, 0/8) == 1), so
-/// a probe at a shared frequency serializes to the same cache key — and
-/// replays the same bytes — as the dense grid point.
-std::vector<double> refined_lattice() {
-  std::vector<double> lattice;
-  lattice.reserve(49);
-  for (int i = 0; i <= 48; ++i) {
-    lattice.push_back(std::ldexp(5.0, i / 8) * std::pow(2.0, (i % 8) / 8.0));
-  }
-  return lattice;
-}
-
-/// Writes the "index,micros,provenance" timing plan a later --shard run
+/// Writes the "index,micros,provenance" cost plan a later --shard run
 /// consumes. The provenance column ('s' scalar / 'b' batch, see
 /// sweep/batch.h) records which execution path measured each cost.
 bool write_shard_plan(const char* path, const std::vector<double>& micros,
@@ -135,20 +109,16 @@ bool write_shard_plan(const char* path, const std::vector<double>& micros,
   return true;
 }
 
-/// Reads the timing plan back: one positive cost per grid point, every
-/// index covered exactly once. Loud failure — a stale or truncated plan
-/// must never silently degrade into a partial partition (the merge would
-/// reject the mismatched shards anyway, but this fails with the reason).
-///
-/// Plans without the provenance column (written before the batch path
-/// existed) still parse. Plans that *mix* scalar and batch provenance are
-/// rejected unless `mixed_ok`: a batch cost is a lane group's wall time
-/// amortized over its lanes, a scalar cost is the point's own wall time,
-/// and LPT-balancing a partition over incommensurable costs silently
-/// skews every shard. Re-emit the plan from one mode, or pass
-/// --mixed-plan-ok to accept the skew knowingly.
+/// Reads the cost plan back: one positive, finite cost per grid point,
+/// every index covered exactly once, one provenance throughout. Loud
+/// failure — a stale, truncated or mixed plan must never silently degrade
+/// into a partial or skewed partition (the merge would reject mismatched
+/// shards anyway, but this fails with the reason). A batch cost is a lane
+/// group's wall time amortized over its lanes and a scalar cost is the
+/// point's own wall time, so an LPT partition over a mix of the two would
+/// skew every shard.
 bool read_shard_plan(const char* path, std::size_t grid_size,
-                     std::vector<double>& micros, bool mixed_ok) {
+                     std::vector<double>& micros) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open shard plan '%s' (run unsharded with "
@@ -156,40 +126,38 @@ bool read_shard_plan(const char* path, std::size_t grid_size,
     return false;
   }
   std::string line;
-  bool with_provenance = false;
-  if (!std::getline(in, line) ||
-      (line != "index,micros" && line != "index,micros,provenance")) {
+  if (!std::getline(in, line) || line != "index,micros,provenance") {
     std::fprintf(stderr, "'%s' is not a shard plan (bad header)\n", path);
     return false;
   }
-  with_provenance = line == "index,micros,provenance";
   micros.assign(grid_size, 0.0);
   std::vector<bool> covered(grid_size, false);
   bool saw_scalar = false;
   bool saw_batch = false;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    char* end = nullptr;
-    const unsigned long long index = std::strtoull(line.c_str(), &end, 10);
-    if (end == line.c_str() || *end != ',' || index >= grid_size) {
+    // from_chars takes no sign or space, so "-1" is rejected, not wrapped.
+    std::size_t index = 0;
+    const auto [after_index, ec] =
+        std::from_chars(line.data(), line.data() + line.size(), index);
+    if (ec != std::errc{} || *after_index != ',' || index >= grid_size) {
       std::fprintf(stderr, "bad shard-plan row in '%s': %s\n", path, line.c_str());
       return false;
     }
-    const double cost = std::strtod(end + 1, &end);
-    if (!(cost > 0.0) || (*end != '\0' && (!with_provenance || *end != ','))) {
+    char* end = nullptr;
+    const double cost = std::strtod(after_index + 1, &end);
+    if (!(cost > 0.0) || !std::isfinite(cost) || *end != ',') {
       std::fprintf(stderr, "bad shard-plan cost in '%s': %s\n", path, line.c_str());
       return false;
     }
-    if (with_provenance) {
-      if (end[0] != ',' || (end[1] != 's' && end[1] != 'b') || end[2] != '\0') {
-        std::fprintf(stderr, "bad shard-plan provenance in '%s': %s\n", path,
-                     line.c_str());
-        return false;
-      }
-      (end[1] == 'b' ? saw_batch : saw_scalar) = true;
+    if ((end[1] != 's' && end[1] != 'b') || end[2] != '\0') {
+      std::fprintf(stderr, "bad shard-plan provenance in '%s': %s\n", path,
+                   line.c_str());
+      return false;
     }
+    (end[1] == 'b' ? saw_batch : saw_scalar) = true;
     if (covered[index]) {
-      std::fprintf(stderr, "duplicate shard-plan index %llu in '%s'\n", index, path);
+      std::fprintf(stderr, "duplicate shard-plan index %zu in '%s'\n", index, path);
       return false;
     }
     covered[index] = true;
@@ -202,14 +170,13 @@ bool read_shard_plan(const char* path, std::size_t grid_size,
       return false;
     }
   }
-  if (saw_scalar && saw_batch && !mixed_ok) {
+  if (saw_scalar && saw_batch) {
     std::fprintf(stderr,
                  "shard plan '%s' mixes scalar ('s') and batch ('b') "
                  "provenance: batch costs are amortized over a lane group and "
                  "are not comparable with per-point scalar wall times, so an "
                  "LPT partition over them would be skewed. Re-emit the plan "
-                 "from a single mode (with or without --batch, cold cache), "
-                 "or pass --mixed-plan-ok to proceed anyway.\n",
+                 "from a single mode (with or without --batch, cold cache).\n",
                  path);
     return false;
   }
@@ -222,25 +189,23 @@ int main(int argc, char** argv) {
   std::optional<sweep::Shard> shard;
   std::optional<sweep::Cache> cache;
   const char* csv_path = nullptr;
-  const char* timing_csv_path = nullptr;
   const char* shard_plan_path = nullptr;
   double t_end = 20.0;
   bool t_end_overridden = false;
   bool macro = false;
   bool batch = false;
-  bool mixed_plan_ok = false;
-  bool solve = false;
-  bool solve_check = false;
-  bool fleet_mode = false;
-  std::size_t fleet_nodes = 3;
-  const char* search_csv_path = nullptr;
-  const char* search_name = "Eq5Solve";
   bench::FlagParser flags;
   flags.on_value("--shard", "k/N",
-                 [&](const char* v) { shard = sweep::Shard::parse(v); return true; })
+                 [&](const char* v) {
+                   try {
+                     shard = sweep::Shard::parse(v);
+                   } catch (const std::invalid_argument& error) {
+                     std::fprintf(stderr, "--shard: %s\n", error.what());
+                     return false;
+                   }
+                   return true;
+                 })
       .on_value("--csv", "FILE", [&](const char* v) { csv_path = v; return true; })
-      .on_value("--timing-csv", "FILE",
-                [&](const char* v) { timing_csv_path = v; return true; })
       .on_value("--shard-plan", "FILE",
                 [&](const char* v) { shard_plan_path = v; return true; })
       .on_value("--cache", "DIR", [&](const char* v) { cache.emplace(v); return true; })
@@ -251,34 +216,9 @@ int main(int argc, char** argv) {
       // Batched SoA execution (sweep/batch.h): the two policies at each
       // interrupt frequency share a source, so they step as one two-lane
       // group. Rows are bit-identical to the scalar path; per-point
-      // timings become amortized lane costs (provenance 'b' in the
-      // timing CSV and shard plan).
+      // costs become amortized lane costs (provenance 'b' in the shard
+      // plan).
       .on("--batch", [&] { batch = true; })
-      .on("--mixed-plan-ok", [&] { mixed_plan_ok = true; })
-      .on("--solve", [&] { solve = true; })
-      .on("--solve-check", [&] { solve = true; solve_check = true; })
-      // Fleet mode: ignore the crossover grid and run the canonical
-      // shared-RF example fleet (spec::example_rf_fleet) through the
-      // sweep runner instead — the end-to-end path scripts/fleet_smoke
-      // gates cold and warm.
-      .on("--fleet", [&] { fleet_mode = true; })
-      .on_value("--fleet-nodes", "N",
-                [&](const char* v) {
-                  char* end = nullptr;
-                  const unsigned long long n = std::strtoull(v, &end, 10);
-                  if (end == v || *end != '\0' || n < 1) {
-                    std::fprintf(stderr,
-                                 "--fleet-nodes needs a positive integer, got "
-                                 "'%s'\n", v);
-                    return false;
-                  }
-                  fleet_nodes = static_cast<std::size_t>(n);
-                  return true;
-                })
-      .on_value("--search-csv", "FILE",
-                [&](const char* v) { search_csv_path = v; return true; })
-      .on_value("--search-name", "NAME",
-                [&](const char* v) { search_name = v; return true; })
       .on_value("--t-end", "SECONDS", [&](const char* v) {
         char* end = nullptr;
         t_end = std::strtod(v, &end);
@@ -292,14 +232,6 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 2;
   if (shard.has_value() && csv_path == nullptr) {
     std::fprintf(stderr, "--shard requires --csv FILE (the shard's output)\n");
-    return 2;
-  }
-  if (solve && shard.has_value()) {
-    std::fprintf(stderr, "--solve and --shard are mutually exclusive\n");
-    return 2;
-  }
-  if (fleet_mode && (solve || shard.has_value())) {
-    std::fprintf(stderr, "--fleet is mutually exclusive with --solve/--shard\n");
     return 2;
   }
 
@@ -323,23 +255,19 @@ int main(int argc, char** argv) {
   base.sim.t_end = t_end;
   base.sim.macro_stepping = macro;
 
-  // The frequency/policy axis definitions are shared between the dense
-  // grid and the --solve search, so a probe's spec — and cache key — is
-  // byte-identical to the dense grid point at the same frequency.
-  const auto set_frequency = [](spec::SystemSpec& s, double f) {
-    s.source = spec::SquareSource{3.3, f, 0.5, 0.0, 50.0};
-  };
-  const auto frequency_label = [](double f) { return sim::Table::num(f, 0); };
-  const std::vector<sweep::AxisValue> policies = {
-      {"hibernus",
-       [config](spec::SystemSpec& s) { s.policy = spec::Hibernus{config}; }},
-      {"quickrecall",
-       [config](spec::SystemSpec& s) { s.policy = spec::QuickRecall{config}; }}};
-
   const std::vector<Hertz> sweep = {5, 10, 20, 40, 80, 160, 320};
   sweep::Grid grid(base);
-  grid.numeric_axis("f_interrupt (Hz)", sweep, set_frequency, frequency_label)
-      .axis("policy", policies);
+  grid.numeric_axis(
+          "f_interrupt (Hz)", sweep,
+          [](spec::SystemSpec& s, double f) {
+            s.source = spec::SquareSource{3.3, f, 0.5, 0.0, 50.0};
+          },
+          [](double f) { return sim::Table::num(f, 0); })
+      .axis("policy",
+            {{"hibernus",
+              [config](spec::SystemSpec& s) { s.policy = spec::Hibernus{config}; }},
+             {"quickrecall",
+              [config](spec::SystemSpec& s) { s.policy = spec::QuickRecall{config}; }}});
 
   sweep::RunnerOptions options;
   if (cache.has_value()) options.cache = &*cache;
@@ -357,170 +285,20 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.non_cacheable));
   };
 
-  if (fleet_mode) {
-    // Fleet mode: the canonical N-node shared-RF scenario — one jittered
-    // reader field, inverse-square-law per-node gains, staggered
-    // basestation harvest windows, adaptive-buffer commits. Lowered fleet
-    // nodes are ordinary cacheable sweep points, so --cache gives the
-    // usual cold/warm accounting (fresh == N cold, 0 warm).
-    std::printf("=== Shared-RF fleet (%zu nodes) under the sweep runner ===\n\n",
-                fleet_nodes);
-    const spec::FleetSpec fleet = spec::example_rf_fleet(fleet_nodes);
-    const auto& rf = std::get<spec::SharedRfCoupling>(fleet.coupling);
-
-    sweep::RunReport fleet_report;
-    const sim::FleetResult result = sweep::run_fleet(fleet, runner, &fleet_report);
-
-    sim::Table table({"node", "gain", "phase (s)", "completed",
-                      "harvested (uJ)", "consumed (uJ)", "commits", "torn"});
-    for (std::size_t i = 0; i < result.size(); ++i) {
-      const sim::SimResult& node = result.nodes[i];
-      table.add_row({"node" + std::to_string(i), sim::Table::num(rf.gains[i], 3),
-                     sim::Table::num(rf.phases.empty() ? 0.0 : rf.phases[i], 2),
-                     node.mcu.completed ? "yes" : "no",
-                     sim::Table::num(node.harvested * 1e6, 1),
-                     sim::Table::num(node.consumed * 1e6, 1),
-                     std::to_string(node.nvm_commits),
-                     std::to_string(node.nvm_torn_writes)});
-    }
-    table.print(std::cout);
-
-    std::printf("\nfleet: %zu/%zu nodes completed, %llu commits, %llu torn "
-                "writes fleet-wide\n",
-                result.completed_nodes(), result.size(),
-                static_cast<unsigned long long>(result.total_nvm_commits()),
-                static_cast<unsigned long long>(result.total_nvm_torn_writes()));
-    std::printf("fleet: simulated %zu of %zu nodes, %zu replayed warm\n",
-                fleet_report.fresh_count(), result.size(),
-                fleet_report.warm_count());
-    report_cache();
-
-    if (csv_path != nullptr) {
-      std::ofstream out(csv_path, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n", csv_path);
-        return 1;
-      }
-      sweep::write_csv(out, sweep::fleet_grid(fleet), result.nodes);
-      if (!out.good()) {
-        std::fprintf(stderr, "write to '%s' failed\n", csv_path);
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  if (solve) {
-    // Solver-guided mode: answer the crossover question with bracketed
-    // bisection over the refined lattice instead of simulating the grid.
-    // The objective is the QuickRecall-minus-hibernus energy gap per
-    // Mcycle: positive while hibernus wins (low f), negative once
-    // QuickRecall wins (high f) — sign-falling along the axis, so the
-    // declared direction turns an accidentally mirrored objective into a
-    // loud kReversed error.
-    std::printf("=== Eq 5 crossover via sweep::Search (solver-guided) ===\n\n");
-    const std::vector<double> lattice = refined_lattice();
-    const std::size_t dense_points = lattice.size() * policies.size();
-
-    sweep::SearchOptions search_options;
-    search_options.runner = options;
-    search_options.direction = -1;
-    sweep::Search search(
-        base, {"f_interrupt (Hz)", set_frequency, frequency_label}, "policy",
-        policies,
-        [](double, const std::vector<sim::SimResult>& rows) {
-          return (joules_per_mcycle(rows[1]) - joules_per_mcycle(rows[0])) * 1e6;
-        },
-        search_options);
-
-    sweep::SearchOutcome outcome;
-    try {
-      outcome = search.bracket_on(lattice);
-    } catch (const sweep::SearchError& error) {
-      std::fprintf(stderr, "search failed (%s): %s\n",
-                   sweep::search_error_kind_name(error.kind()), error.what());
-      return 1;
-    }
-
-    sim::Table probe_table({"probe", "f (Hz)", "hibernus (uJ/Mcycle)",
-                            "quickrecall (uJ/Mcycle)", "qr - hib", "origin"});
-    for (std::size_t i = 0; i < outcome.probes.size(); ++i) {
-      const sweep::SearchProbe& probe = outcome.probes[i];
-      probe_table.add_row(
-          {std::to_string(i), sim::Table::num(probe.x, 1),
-           sim::Table::num(joules_per_mcycle(probe.rows[0]) * 1e6, 2),
-           sim::Table::num(joules_per_mcycle(probe.rows[1]) * 1e6, 2),
-           sim::Table::num(probe.value, 2),
-           probe.warm == 0 ? "fresh" : (probe.simulated == 0 ? "warm" : "mixed")});
-    }
-    probe_table.print(std::cout);
-
-    std::printf("\ncrossover bracket: hibernus wins at %.1f Hz, quickrecall at "
-                "%.1f Hz (lattice cell %zu..%zu of %zu)\n",
-                outcome.lo, outcome.hi, outcome.lo_index, outcome.hi_index,
-                lattice.size() - 1);
-    std::printf("simulated %zu of %zu dense-equivalent points (%.0f%%), "
-                "%zu replayed warm\n",
-                outcome.simulated_points(), dense_points,
-                100.0 * static_cast<double>(outcome.simulated_points()) /
-                    static_cast<double>(dense_points),
-                outcome.warm_points());
-    report_cache();
-
-    if (search_csv_path != nullptr) {
-      sweep::append_search_telemetry(search_csv_path, search_name, search,
-                                     dense_points);
-      std::fprintf(stderr, "search telemetry -> %s (%s)\n", search_csv_path,
-                   search_name);
-    }
-
-    if (solve_check) {
-      // Dense cross-check: the solver ran FIRST, so its cold-probe counts
-      // above were unaffected by this sweep warming the shared cache.
-      std::printf("\ndense cross-check (%zu points):\n", grid.size());
-      const auto results = runner.run(grid);
-      std::size_t first_qr_win = sweep.size();
-      for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const double hib = joules_per_mcycle(results[i * 2]);
-        const double qr = joules_per_mcycle(results[i * 2 + 1]);
-        if (qr < hib) {
-          first_qr_win = i;
-          break;
-        }
-      }
-      check(first_qr_win > 0 && first_qr_win < sweep.size(),
-            "dense sweep finds an interior crossover cell");
-      if (first_qr_win > 0 && first_qr_win < sweep.size()) {
-        const double cell_lo = sweep[first_qr_win - 1];
-        const double cell_hi = sweep[first_qr_win];
-        std::printf("  dense crossover cell: [%.0f, %.0f] Hz\n", cell_lo, cell_hi);
-        check(outcome.lo >= cell_lo && outcome.hi <= cell_hi,
-              "solver bracket lies inside the dense crossover cell");
-      }
-      std::printf("\n%s\n", g_failures == 0 ? "SOLVE CHECK PASSED"
-                                            : "SOLVE CHECK FAILED");
-      return g_failures == 0 ? 0 : 1;
-    }
-    return 0;
-  }
-
   if (shard.has_value()) {
     // Shard mode: simulate the owned slice, emit the mergeable CSV, done.
     // With a --shard-plan, ownership comes from the LPT-balanced partition
     // of the plan's measured per-point costs instead of index striding —
     // every shard process derives the identical partition from the
     // identical file, so the slices still cover the grid exactly once.
-    sweep::RunReport shard_report;
     std::vector<sim::SimResult> rows;
     std::optional<sweep::ShardAssignment> assignment;
     std::size_t owned_count = 0;
     if (shard_plan_path != nullptr) {
       std::vector<double> plan;
-      if (!read_shard_plan(shard_plan_path, grid.size(), plan, mixed_plan_ok)) {
-        return 1;
-      }
+      if (!read_shard_plan(shard_plan_path, grid.size(), plan)) return 1;
       assignment = sweep::ShardAssignment::balanced(plan, shard->count);
-      rows = runner.run_assignment(grid, *assignment, shard->index, &shard_report);
+      rows = runner.run_assignment(grid, *assignment, shard->index);
       owned_count = assignment->owned[shard->index].size();
       std::fprintf(stderr,
                    "shard plan '%s': LPT makespan %.0f us vs striding %.0f us\n",
@@ -528,7 +306,7 @@ int main(int argc, char** argv) {
                    sweep::ShardAssignment::striding(grid.size(), shard->count)
                        .makespan(plan));
     } else {
-      rows = runner.run_shard(grid, *shard, &shard_report);
+      rows = runner.run_shard(grid, *shard);
       owned_count = shard->owned_count(grid.size());
     }
     std::ofstream out(csv_path, std::ios::binary | std::ios::trunc);
@@ -544,30 +322,6 @@ int main(int argc, char** argv) {
     if (!out.good()) {
       std::fprintf(stderr, "write to '%s' failed\n", csv_path);
       return 1;
-    }
-    if (timing_csv_path != nullptr) {
-      // Per-shard timing: global point index + wall time + execution-path
-      // provenance, the per-point costs a cost-weighted re-shard of this
-      // grid would consume. (The mergeable shard CSV format itself stays
-      // timing-free so merged output is byte-comparable with a serial
-      // run.)
-      std::ofstream timing(timing_csv_path, std::ios::binary | std::ios::trunc);
-      if (!timing) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n", timing_csv_path);
-        return 1;
-      }
-      timing << "index,micros,provenance\n";
-      const std::vector<std::size_t> owned =
-          assignment.has_value() ? assignment->owned[shard->index]
-                                 : shard->owned_points(grid.size());
-      for (std::size_t pos = 0; pos < owned.size(); ++pos) {
-        timing << owned[pos] << ',' << shard_report.micros[pos] << ','
-               << shard_report.provenance[pos] << '\n';
-      }
-      if (!timing.good()) {
-        std::fprintf(stderr, "write to '%s' failed\n", timing_csv_path);
-        return 1;
-      }
     }
     report_cache();
     std::printf("shard %s%s: simulated %zu of %zu points -> %s\n",
@@ -594,7 +348,7 @@ int main(int argc, char** argv) {
   report_cache();
 
   if (shard_plan_path != nullptr) {
-    // Emit the timing plan for LPT-balanced --shard re-runs (cache hits
+    // Emit the cost plan for LPT-balanced --shard re-runs (cache hits
     // replay each point's original cost and provenance, so a warm grid
     // re-emits the same plan without simulating).
     if (!write_shard_plan(shard_plan_path, run_report.micros,
@@ -614,23 +368,6 @@ int main(int argc, char** argv) {
     sweep::write_csv(out, grid, results);
     if (!out.good()) {
       std::fprintf(stderr, "write to '%s' failed\n", csv_path);
-      return 1;
-    }
-  }
-
-  if (timing_csv_path != nullptr) {
-    // The same rows with the per-point wall-time and provenance columns
-    // appended — the measured input a cost-weighted shard assignment
-    // would consume, tagged with the execution path that measured it.
-    std::ofstream out(timing_csv_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open '%s' for writing\n", timing_csv_path);
-      return 1;
-    }
-    sweep::write_csv(out, grid, results, &run_report.micros,
-                     &run_report.provenance);
-    if (!out.good()) {
-      std::fprintf(stderr, "write to '%s' failed\n", timing_csv_path);
       return 1;
     }
   }

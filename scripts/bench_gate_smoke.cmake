@@ -6,7 +6,8 @@
 # The probe-count gates (--points-csv/--points-gate) are smoked the same
 # way against the committed search telemetry fixture: a cold-budget gate
 # that holds, the zero-point warm gate, a budget the recorded count
-# exceeds, and a search the file does not carry.
+# exceeds, a search the file does not carry, and a negative budget (a
+# usage error, exit 2, rather than a gate at 2^64 - 1 that never fails).
 #
 # Invoked as:
 #   cmake -DGATE=<bench_gate> -DFIXTURE=<bench_gate_sample.json>
@@ -104,6 +105,15 @@ execute_process(
   RESULT_VARIABLE points_missing_result OUTPUT_VARIABLE points_missing_out)
 if(points_missing_result EQUAL 0)
   message(FATAL_ERROR "expected the missing search to fail:\n${points_missing_out}")
+endif()
+
+# 7. A negative budget is a usage error (exit 2), never a wrapped count.
+execute_process(
+  COMMAND ${GATE} --points-csv ${POINTS_FIXTURE} --points-gate Eq5Solve=-1
+  RESULT_VARIABLE points_negative_result OUTPUT_VARIABLE points_negative_out
+  ERROR_VARIABLE points_negative_err)
+if(NOT points_negative_result EQUAL 2)
+  message(FATAL_ERROR "expected --points-gate Eq5Solve=-1 to exit 2, got ${points_negative_result}:\n${points_negative_out}${points_negative_err}")
 endif()
 
 message(STATUS "bench_gate smoke: pass/fail/missing verdicts all correct")

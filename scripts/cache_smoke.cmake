@@ -5,7 +5,8 @@
 # stderr precisely so stdout stays byte-comparable). Then corrupts one
 # entry and drives the self-healing CLI loop: fsck flags it (exit 1),
 # fsck --quarantine moves it aside to <entry>.bad, and a re-check comes
-# back clean (exit 0).
+# back clean (exit 0). Last, prune --max-bytes -1 must be a usage error
+# (exit 2), not a budget wrapped to 2^64 - 1.
 #
 #   cmake -DBENCH=<tab_policy_comparison> -DSWEEP_CACHE=<sweep_cache>
 #         -DWORK=<dir> -P this
@@ -87,3 +88,9 @@ if(NOT rc EQUAL 0)
 endif()
 
 message(STATUS "fsck --quarantine healed the corrupted entry (moved to .bad)")
+
+execute_process(COMMAND "${SWEEP_CACHE}" prune "${WORK}/cache" --max-bytes -1
+  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "prune --max-bytes -1 exited ${rc}, expected the usage error 2")
+endif()

@@ -1,81 +1,53 @@
-# Fleet scenarios end to end (ctest `fleet_smoke`): drive the canonical
-# 3-node shared-RF example fleet (spec::example_rf_fleet) through the real
-# CLIs, cold and warm against one cache, and assert the fleet acceptance
-# contract:
+# Fleet scenarios end to end (ctest `fleet_smoke`): drive
+# design_query --fleet-demo, which brackets the smallest capacitance at
+# which every node of the canonical 3-node shared-RF example fleet
+# (spec::example_rf_fleet) completes, cold and warm against one cache:
 #
-#   * cold eq5_crossover --fleet simulates all 3 nodes and completes the
-#     whole fleet;
-#   * the warm rerun simulates ZERO nodes (all 3 replay from the cache)
-#     and its CSV is byte-identical to the cold run's;
-#   * design_query --fleet-demo brackets the smallest capacitance at which
-#     every coupled node completes, cold, and its warm rerun replays every
-#     probe from the cache.
+#   * the cold run simulates N > 0 of the 51 dense-equivalent points and
+#     replays none;
+#   * the warm rerun simulates zero points and replays the same N;
+#   * both runs print a threshold bracket.
+#
+# The library-level fleet contracts (cold 3 / warm 0 / byte-identical rows,
+# every node completing, N=1 bit-identity) live in tests/fleet_test.cpp.
 #
 # Invoked as:
-#   cmake -DEQ5=<eq5_crossover> -DDQ=<design_query> -DWORK=<scratch dir>
-#         -P fleet_smoke.cmake
+#   cmake -DDQ=<design_query> -DWORK=<scratch dir> -P fleet_smoke.cmake
 
-if(NOT EQ5 OR NOT DQ OR NOT WORK)
-  message(FATAL_ERROR "usage: cmake -DEQ5=... -DDQ=... -DWORK=... -P fleet_smoke.cmake")
+if(NOT DQ OR NOT WORK)
+  message(FATAL_ERROR "usage: cmake -DDQ=... -DWORK=... -P fleet_smoke.cmake")
 endif()
 
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
 
-# 1. Cold fleet sweep: every node simulated fresh, whole fleet completes.
+# 1. Cold: every probe simulated fresh.
 execute_process(
-  COMMAND ${EQ5} --fleet --cache ${WORK}/cache --csv ${WORK}/cold.csv
+  COMMAND ${DQ} --fleet-demo --cache ${WORK}/cache
   RESULT_VARIABLE cold_result OUTPUT_VARIABLE cold_out ERROR_VARIABLE cold_err)
 if(NOT cold_result EQUAL 0)
-  message(FATAL_ERROR "cold --fleet failed (${cold_result}):\n${cold_out}\n${cold_err}")
+  message(FATAL_ERROR "cold design_query --fleet-demo failed (${cold_result}):\n${cold_out}\n${cold_err}")
 endif()
-if(NOT cold_out MATCHES "fleet: simulated 3 of 3 nodes, 0 replayed warm")
-  message(FATAL_ERROR "cold --fleet did not simulate all 3 nodes:\n${cold_out}")
+if(NOT cold_out MATCHES "threshold bracket")
+  message(FATAL_ERROR "cold design_query --fleet-demo reported no bracket:\n${cold_out}")
 endif()
-if(NOT cold_out MATCHES "fleet: 3/3 nodes completed")
-  message(FATAL_ERROR "cold --fleet did not complete the whole fleet:\n${cold_out}")
+if(NOT cold_out MATCHES "simulated ([1-9][0-9]*) of 51 dense-equivalent points, 0 replayed warm")
+  message(FATAL_ERROR "cold design_query --fleet-demo did not simulate its probes fresh:\n${cold_out}")
 endif()
+set(cold_points ${CMAKE_MATCH_1})
 
-# 2. Warm rerun: zero simulations, every node replayed from the cache,
-# byte-identical CSV.
+# 2. Warm rerun: zero simulations, the same points replayed from the cache.
 execute_process(
-  COMMAND ${EQ5} --fleet --cache ${WORK}/cache --csv ${WORK}/warm.csv
+  COMMAND ${DQ} --fleet-demo --cache ${WORK}/cache
   RESULT_VARIABLE warm_result OUTPUT_VARIABLE warm_out ERROR_VARIABLE warm_err)
 if(NOT warm_result EQUAL 0)
-  message(FATAL_ERROR "warm --fleet failed (${warm_result}):\n${warm_out}\n${warm_err}")
+  message(FATAL_ERROR "warm design_query --fleet-demo failed (${warm_result}):\n${warm_out}\n${warm_err}")
 endif()
-if(NOT warm_out MATCHES "fleet: simulated 0 of 3 nodes, 3 replayed warm")
-  message(FATAL_ERROR "warm --fleet rerun simulated nodes it should have replayed:\n${warm_out}")
+if(NOT warm_out MATCHES "threshold bracket")
+  message(FATAL_ERROR "warm design_query --fleet-demo lost its bracket:\n${warm_out}")
 endif()
-file(READ ${WORK}/cold.csv cold_csv)
-file(READ ${WORK}/warm.csv warm_csv)
-if(NOT cold_csv STREQUAL warm_csv)
-  message(FATAL_ERROR "warm fleet CSV differs from the cold run's:\n--- cold\n${cold_csv}\n--- warm\n${warm_csv}")
+if(NOT warm_out MATCHES "simulated 0 of 51 dense-equivalent points, ${cold_points} replayed warm")
+  message(FATAL_ERROR "warm design_query --fleet-demo did not replay the ${cold_points} cold points:\n${warm_out}")
 endif()
 
-# 3. design_query --fleet-demo: smallest capacitance at which every coupled
-# node completes, cold then warm against one cache.
-execute_process(
-  COMMAND ${DQ} --fleet-demo --cache ${WORK}/dq_cache
-  RESULT_VARIABLE dq_result OUTPUT_VARIABLE dq_out ERROR_VARIABLE dq_err)
-if(NOT dq_result EQUAL 0)
-  message(FATAL_ERROR "design_query --fleet-demo failed (${dq_result}):\n${dq_out}\n${dq_err}")
-endif()
-if(NOT dq_out MATCHES "threshold bracket")
-  message(FATAL_ERROR "design_query --fleet-demo reported no bracket:\n${dq_out}")
-endif()
-execute_process(
-  COMMAND ${DQ} --fleet-demo --cache ${WORK}/dq_cache
-  RESULT_VARIABLE dq_warm_result OUTPUT_VARIABLE dq_warm_out
-  ERROR_VARIABLE dq_warm_err)
-if(NOT dq_warm_result EQUAL 0)
-  message(FATAL_ERROR "warm design_query --fleet-demo failed (${dq_warm_result}):\n${dq_warm_out}\n${dq_warm_err}")
-endif()
-if(NOT dq_warm_out MATCHES "threshold bracket")
-  message(FATAL_ERROR "warm design_query --fleet-demo lost its bracket:\n${dq_warm_out}")
-endif()
-if(NOT dq_warm_out MATCHES "simulated 0 of")
-  message(FATAL_ERROR "warm design_query --fleet-demo simulated probes it should have replayed:\n${dq_warm_out}")
-endif()
-
-message(STATUS "fleet smoke: 3-node shared-RF sweep round-trips the cache; warm reruns simulate zero nodes")
+message(STATUS "fleet smoke: shared-RF fleet query simulated ${cold_points} points cold, 0 warm")

@@ -1,53 +1,31 @@
 # Solver-guided design queries end to end (ctest `search_smoke`): drive
-# eq5_crossover --solve-check and design_query --demo through the real
-# CLIs, cold and warm against one cache, and assert the probe accounting
-# with bench_gate --points-gate:
+# design_query --demo through the real CLI, cold and warm against one
+# cache, and assert the probe accounting with bench_gate --points-gate:
 #
-#   * cold --solve-check passes its own dense cross-check (the refined
-#     bracket lies inside the dense crossover cell) while simulating at
-#     most 25% of the dense-equivalent grid (24 of 98 points);
-#   * the warm rerun of the same query simulates ZERO points;
 #   * design_query --demo brackets the minimum wind-surviving capacitance
-#     cold, and its warm rerun also simulates zero points;
+#     cold within 30 simulated points, and its warm rerun simulates zero;
 #   * the spec document design_query --print-spec writes reads back through
-#     --spec to the same bytes.
+#     --spec to the same bytes;
+#   * numeric input design_query cannot represent (a count past its range
+#     or not a whole number, a non-finite bound, a tolerance whose
+#     dense-equivalent count overflows) exits 2 before any probe runs.
+#
+# The Eq 5 crossover search (cell equivalence with the dense sweep, at most
+# 24 of 98 points cold, zero warm) is pinned in tests/search_test.cpp.
 #
 # Invoked as:
-#   cmake -DEQ5=<eq5_crossover> -DDQ=<design_query> -DGATE=<bench_gate>
-#         -DWORK=<scratch dir> -P search_smoke.cmake
+#   cmake -DDQ=<design_query> -DGATE=<bench_gate> -DWORK=<scratch dir>
+#         -P search_smoke.cmake
 
-if(NOT EQ5 OR NOT DQ OR NOT GATE OR NOT WORK)
-  message(FATAL_ERROR "usage: cmake -DEQ5=... -DDQ=... -DGATE=... -DWORK=... -P search_smoke.cmake")
+if(NOT DQ OR NOT GATE OR NOT WORK)
+  message(FATAL_ERROR "usage: cmake -DDQ=... -DGATE=... -DWORK=... -P search_smoke.cmake")
 endif()
 
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
 set(CSV ${WORK}/search.csv)
 
-# 1. Cold solver-guided Eq 5 crossover with the built-in dense cross-check
-# (the solver runs before the dense sweep, so its cold-probe counts are
-# unaffected by the sweep warming the shared cache).
-execute_process(
-  COMMAND ${EQ5} --solve-check --t-end 2 --cache ${WORK}/cache
-          --search-csv ${CSV}
-  RESULT_VARIABLE cold_result OUTPUT_VARIABLE cold_out ERROR_VARIABLE cold_err)
-if(NOT cold_result EQUAL 0)
-  message(FATAL_ERROR "cold --solve-check failed (${cold_result}):\n${cold_out}\n${cold_err}")
-endif()
-if(NOT cold_out MATCHES "SOLVE CHECK PASSED")
-  message(FATAL_ERROR "cold --solve-check did not pass its dense cross-check:\n${cold_out}")
-endif()
-
-# 2. Warm rerun of the same query against the same cache.
-execute_process(
-  COMMAND ${EQ5} --solve --t-end 2 --cache ${WORK}/cache
-          --search-csv ${CSV} --search-name Eq5SolveWarm
-  RESULT_VARIABLE warm_result OUTPUT_VARIABLE warm_out ERROR_VARIABLE warm_err)
-if(NOT warm_result EQUAL 0)
-  message(FATAL_ERROR "warm --solve failed (${warm_result}):\n${warm_out}\n${warm_err}")
-endif()
-
-# 3. design_query --demo: minimum wind-surviving capacitance, cold + warm.
+# 1. design_query --demo: minimum wind-surviving capacitance, cold + warm.
 execute_process(
   COMMAND ${DQ} --demo --cache ${WORK}/demo_cache --search-csv ${CSV}
   RESULT_VARIABLE demo_result OUTPUT_VARIABLE demo_out ERROR_VARIABLE demo_err)
@@ -66,18 +44,17 @@ if(NOT demo_warm_result EQUAL 0)
   message(FATAL_ERROR "warm design_query --demo failed (${demo_warm_result}):\n${demo_warm_out}\n${demo_warm_err}")
 endif()
 
-# 4. Gate the recorded probe counts: the cold Eq 5 solve within 25% of the
-# dense-equivalent 98-point grid, both warm reruns at zero simulations.
+# 2. Gate the recorded probe counts: the cold query within 30 points, the
+# warm rerun at zero simulations.
 execute_process(
   COMMAND ${GATE} --points-csv ${CSV}
-          --points-gate Eq5Solve=24 --points-gate Eq5SolveWarm=0
           --points-gate DesignQuery=30 --points-gate DesignQueryWarm=0
   RESULT_VARIABLE gate_result OUTPUT_VARIABLE gate_out)
 if(NOT gate_result EQUAL 0)
   message(FATAL_ERROR "probe-budget gates failed:\n${gate_out}")
 endif()
 
-# 5. The printed spec document reads back through --spec unchanged.
+# 3. The printed spec document reads back through --spec unchanged.
 execute_process(
   COMMAND ${DQ} --demo --print-spec
   OUTPUT_FILE ${WORK}/demo.spec RESULT_VARIABLE print_result)
@@ -91,4 +68,17 @@ if(NOT print_result EQUAL 0 OR NOT reprint_result EQUAL 0 OR
   message(FATAL_ERROR "design_query --print-spec does not read back through --spec")
 endif()
 
-message(STATUS "search smoke: solver bracket verified, warm reruns simulate zero points\n${gate_out}")
+# 4. Unrepresentable numeric input is a usage error (exit 2) that runs no
+# probe, so nothing reaches stdout.
+foreach(bad "--lattice;1e30" "--max-probes;nan" "--log-lattice;inf"
+            "--tol;1e-300" "--hi;inf")
+  execute_process(
+    COMMAND ${DQ} --demo ${bad}
+    RESULT_VARIABLE bad_result OUTPUT_VARIABLE bad_out ERROR_VARIABLE bad_err)
+  if(NOT bad_result EQUAL 2 OR NOT bad_out STREQUAL "")
+    string(REPLACE ";" " " bad_args "${bad}")
+    message(FATAL_ERROR "design_query --demo ${bad_args} exited ${bad_result}, expected 2 with no probes:\n${bad_out}${bad_err}")
+  endif()
+endforeach()
+
+message(STATUS "search smoke: warm reruns simulate zero points, bad input exits 2\n${gate_out}")

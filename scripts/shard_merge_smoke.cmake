@@ -2,7 +2,8 @@
 # shard_merge_smoke): runs the eq5_crossover bench as two independent
 # processes on halves of its grid, merges the per-shard CSVs with
 # sweep_merge, and requires the result to be byte-identical to the
-# unsharded run's CSV.
+# unsharded run's CSV. An incomplete merge and an out-of-range --shard must
+# both fail.
 #
 #   cmake -DEQ5=<eq5_crossover> -DMERGE=<sweep_merge> -DWORK=<dir> -P this
 #
@@ -54,6 +55,14 @@ execute_process(
   RESULT_VARIABLE rc ERROR_QUIET)
 if(rc EQUAL 0)
   message(FATAL_ERROR "sweep_merge accepted an incomplete partition")
+endif()
+
+# A shard the partition cannot hold is a usage error (exit 2), not a crash.
+execute_process(
+  COMMAND "${EQ5}" --t-end ${T_END} --shard 2/2 --csv "${WORK}/bad_shard.csv"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "--shard 2/2 exited ${rc}, expected the usage error 2")
 endif()
 
 message(STATUS "shard -> merge workflow is byte-identical to the unsharded run")

@@ -44,8 +44,8 @@
 //                                        reader checks the version and that
 //                                        nothing follows
 //
-// FrameReader is the strict cursor over the length-prefixed containers
-// built around canonical texts (sweep cache entries, FleetResult).
+// FrameReader is the strict cursor over the length-prefixed container the
+// sweep cache builds around canonical texts (its entries).
 #pragma once
 
 #include <concepts>

@@ -9,7 +9,6 @@ namespace edc::sim {
 
 namespace {
 
-using canon::FormatError;
 using canon::Record;
 
 // mcu::McuState in declaration order.
@@ -91,39 +90,6 @@ SimResult parse_result(const std::string& text) {
   canon::Reader r(text);
   SimResult result;
   r.document("edc.SimResult", kResultFormatVersion, [&] { walk(r, result); });
-  return result;
-}
-
-// ---- fleets ----------------------------------------------------------------
-
-namespace {
-
-const std::string kFleetHeader =
-    "edc.FleetResult v" + std::to_string(kFleetResultFormatVersion);
-
-}  // namespace
-
-std::string serialize_fleet_result(const FleetResult& result) {
-  std::string out =
-      kFleetHeader + "\nnodes " + std::to_string(result.nodes.size()) + '\n';
-  for (const SimResult& node : result.nodes) {
-    canon::append_block(out, "node_bytes", serialize_result(node));
-  }
-  return out;
-}
-
-FleetResult parse_fleet_result(const std::string& text) {
-  canon::FrameReader in(text);
-  if (in.line() != kFleetHeader) throw FormatError("unsupported fleet result header");
-  // Every node block starts with its own node_bytes line.
-  const std::size_t count =
-      canon::checked_count(canon::parse_u64(in.value("nodes")), in.lines_left(), "nodes");
-  FleetResult result;
-  result.nodes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    result.nodes.push_back(parse_result(std::string(in.block("node_bytes"))));
-  }
-  in.finish();
   return result;
 }
 

@@ -15,7 +15,6 @@
 
 #include <string>
 
-#include "edc/sim/fleet_result.h"
 #include "edc/sim/simulator.h"
 
 namespace edc::sim {
@@ -31,26 +30,5 @@ inline constexpr int kResultFormatVersion = 2;
 /// Inverse of serialize_result(). Strict: throws canon::FormatError on
 /// unknown fields, wrong version, truncation, or trailing bytes.
 [[nodiscard]] SimResult parse_result(const std::string& text);
-
-// ---- fleets ----------------------------------------------------------------
-
-// The FleetResult container is a framing wrapper, not a new row format:
-// each node block carries the exact serialize_result() byte stream, length
-// prefixed (the sweep cache's entry idiom), so a fleet round-trip preserves
-// every node result bit-identically and the per-node row format can evolve
-// independently behind kResultFormatVersion.
-//
-//   edc.FleetResult v1\n
-//   nodes <N>\n
-//   node_bytes <len>\n<len raw bytes of serialize_result(nodes[0])>
-//   ... (N blocks total)
-inline constexpr int kFleetResultFormatVersion = 1;
-
-/// Canonical byte string of the fleet result (always succeeds).
-[[nodiscard]] std::string serialize_fleet_result(const FleetResult& result);
-
-/// Inverse of serialize_fleet_result(). Strict: throws canon::FormatError
-/// on bad magic, wrong version, truncated blocks, or trailing bytes.
-[[nodiscard]] FleetResult parse_fleet_result(const std::string& text);
 
 }  // namespace edc::sim

@@ -28,7 +28,7 @@
 //   rf.window_period = 3.0; rf.window_duty = 1.0/3; // slotted basestation
 //   rf.phases = {0.0, 1.0, 2.0};                    // staggered slots
 //   fleet.coupling = rf;
-//   sim::FleetSimulator(fleet).run();               // or sweep::run_fleet
+//   sweep::Runner().run(sweep::fleet_grid(fleet));  // row i is node i
 #pragma once
 
 #include <cstddef>
@@ -91,9 +91,8 @@ void validate_fleet(const FleetSpec& fleet);
 /// Validates the fleet first.
 [[nodiscard]] SystemSpec fleet_node_spec(const FleetSpec& fleet, std::size_t i);
 
-/// The canonical shared-RF example fleet used by the tools' fleet entry
-/// points (eq5_crossover --fleet, design_query --fleet-demo), the fleet
-/// smoke script and the README: `node_count` identical sense nodes under
+/// The canonical shared-RF example fleet used by design_query --fleet-demo,
+/// the fleet tests and the README: `node_count` identical sense nodes under
 /// adaptive buffering, harvesting one jittered reader field through
 /// 1/d^2 gains and staggered basestation slots.
 [[nodiscard]] FleetSpec example_rf_fleet(std::size_t node_count = 3);

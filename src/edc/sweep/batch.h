@@ -53,7 +53,7 @@ inline constexpr char kProvenanceBatch = 'b';   ///< SoA kernel, amortized lane 
 /// whose *sum reproduces the measurement* at microsecond resolution: each
 /// lane gets floor(total/n) whole microseconds and the first total%n lanes
 /// carry one extra. Plain wall/n leaks up to (lanes-1) us of rounding per
-/// group once the costs are serialized, so `--timing-csv` column totals
+/// group once the costs are serialized, so a shard plan's cost totals
 /// drift away from the wall time a shard planner has to budget against;
 /// remainder distribution keeps the totals exact while every lane still
 /// differs by at most 1 us from the even split. Returns an empty vector

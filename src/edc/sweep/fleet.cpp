@@ -2,35 +2,22 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace edc::sweep {
 
-std::vector<AxisValue> fleet_node_axis(const spec::FleetSpec& fleet) {
-  spec::validate_fleet(fleet);
-  std::vector<AxisValue> values;
-  values.reserve(fleet.size());
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    spec::SystemSpec lowered = spec::fleet_node_spec(fleet, i);
-    values.push_back({"node" + std::to_string(i),
-                      [lowered = std::move(lowered)](spec::SystemSpec& s) {
-                        s = lowered;
-                      }});
-  }
-  return values;
-}
-
 Grid fleet_grid(const spec::FleetSpec& fleet) {
-  Grid grid(spec::fleet_node_spec(fleet, 0));
-  grid.axis("node", fleet_node_axis(fleet));
+  Grid grid(spec::fleet_node_spec(fleet, 0));  // validates the fleet
+  std::vector<AxisValue> nodes;
+  nodes.reserve(fleet.size());
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    nodes.push_back({"node" + std::to_string(i),
+                     [lowered = spec::fleet_node_spec(fleet, i)](spec::SystemSpec& s) {
+                       s = lowered;
+                     }});
+  }
+  grid.axis("node", std::move(nodes));
   return grid;
-}
-
-sim::FleetResult run_fleet(const spec::FleetSpec& fleet, const Runner& runner,
-                           RunReport* report) {
-  const Grid grid = fleet_grid(fleet);
-  sim::FleetResult result;
-  result.nodes = runner.run(grid, report);
-  return result;
 }
 
 }  // namespace edc::sweep

@@ -30,12 +30,9 @@ std::string csv_escape(const std::string& cell) {
   return quoted;
 }
 
-void write_csv_header(std::ostream& out, const Grid& grid, bool with_micros = false,
-                      bool with_provenance = false) {
+void write_csv_header(std::ostream& out, const Grid& grid) {
   for (const auto& axis : grid.axes()) out << csv_escape(axis.name) << ',';
   out << "done,t_done_s,brownouts,saves,restores,energy_j,harvested_j";
-  if (with_micros) out << ",micros";
-  if (with_provenance) out << ",provenance";
 }
 
 void write_csv_row(std::ostream& out, const Point& point,
@@ -83,23 +80,13 @@ sim::Table summary_table(const Grid& grid,
 }
 
 void write_csv(std::ostream& out, const Grid& grid,
-               const std::vector<sim::SimResult>& results,
-               const std::vector<double>* micros,
-               const std::vector<char>* provenance) {
+               const std::vector<sim::SimResult>& results) {
   EDC_CHECK(results.size() == grid.size(),
             "result rows do not match the grid size");
-  EDC_CHECK(micros == nullptr || micros->size() == results.size(),
-            "micros rows do not match the result rows");
-  EDC_CHECK(provenance == nullptr || provenance->size() == results.size(),
-            "provenance rows do not match the result rows");
-  EDC_CHECK(provenance == nullptr || micros != nullptr,
-            "a provenance column annotates the micros column; pass micros too");
-  write_csv_header(out, grid, micros != nullptr, provenance != nullptr);
+  write_csv_header(out, grid);
   out << '\n';
   for (std::size_t i = 0; i < results.size(); ++i) {
     write_csv_row(out, grid.point(i), results[i]);
-    if (micros != nullptr) out << ',' << (*micros)[i];
-    if (provenance != nullptr) out << ',' << (*provenance)[i];
     out << '\n';
   }
 }

@@ -29,19 +29,11 @@ namespace edc::sweep {
                                        const std::vector<sim::SimResult>& results);
 
 /// CSV export of the same rows (numeric metrics unformatted; labels quoted
-/// when they contain separators). When `micros` is non-null (one wall-time
-/// entry per row, as filled in by Runner::run) a trailing `micros` column
-/// records each point's simulation cost — the input to cost-weighted shard
-/// scheduling. When `provenance` is additionally non-null (one 's'/'b'
-/// code per row, see sweep/batch.h) a trailing `provenance` column records
-/// which execution path produced each cost, so timing consumers can refuse
-/// to mix per-point scalar wall times with amortized batch lane costs.
-/// The shard CSV format deliberately omits both so merged shard output
-/// stays byte-comparable with a serial run.
+/// when they contain separators). Rows carry no timing, so a merged shard
+/// run is byte-comparable with a serial one; per-point costs travel in
+/// RunReport (see sweep/runner.h).
 void write_csv(std::ostream& out, const Grid& grid,
-               const std::vector<sim::SimResult>& results,
-               const std::vector<double>* micros = nullptr,
-               const std::vector<char>* provenance = nullptr);
+               const std::vector<sim::SimResult>& results);
 
 /// Per-shard CSV export: `results` holds the rows of the shard's owned
 /// points in ascending global-index order (as returned by

@@ -1,10 +1,11 @@
 // Fleet differential suite (ctest label: fleet).
 //
 // The fleet API's load-bearing promise is that node-count-N adds structure
-// without perturbation: an N=1 uncoupled fleet is *bit-identical* to the
-// scalar simulator (asserted on the canonical result serialization, which
-// covers the full SimResult), coupling lowers to ordinary serializable
-// per-node specs, and fleet sweeps ride the Cache/Runner stack unchanged —
+// without perturbation. A fleet runs one way, Runner::run(fleet_grid(fleet)):
+// an N=1 uncoupled fleet is *bit-identical* to the scalar simulator
+// (asserted on the canonical result serialization, which covers the full
+// SimResult), row i of any fleet equals a standalone run of the lowered
+// node spec, coupling lowers to ordinary serializable per-node specs, and
 // a warm rerun of a cached 3-node shared-RF fleet simulates zero points
 // and replays byte-identical rows. The CoupledRfFieldSource that realizes
 // the shared-RF coupling is held to the PowerSource quiet-claim contract:
@@ -19,7 +20,6 @@
 #include <variant>
 #include <vector>
 
-#include "edc/sim/fleet.h"
 #include "edc/sim/result_io.h"
 #include "edc/spec/fleet_spec.h"
 #include "edc/spec/serialize.h"
@@ -153,6 +153,10 @@ TEST(FleetValidation, RejectsIllFormedFleets) {
   EXPECT_THROW(validate_fleet(fleet), std::invalid_argument);
 
   EXPECT_NO_THROW(validate_fleet(coupled_fleet(3)));
+
+  // The grid adapter validates too.
+  EXPECT_THROW(sweep::fleet_grid(FleetSpec{}), std::invalid_argument);
+  EXPECT_THROW(sweep::fleet_grid(fleet), std::invalid_argument);
 }
 
 TEST(FleetLowering, SubstitutesTheCoupledSource) {
@@ -233,39 +237,27 @@ TEST(FleetSerial, OpaqueNodesAreNonCacheableWithNodeIndex) {
   EXPECT_TRUE(is_cacheable(example_rf_fleet(2)));
 }
 
-// ------------------------------------------ fleet result serialization -----
-
-TEST(FleetResultIo, RoundTripIsByteIdentical) {
-  const sim::FleetResult result = sim::FleetSimulator(coupled_fleet(2)).run();
-  ASSERT_EQ(result.size(), 2u);
-  const std::string text = sim::serialize_fleet_result(result);
-  const sim::FleetResult reparsed = sim::parse_fleet_result(text);
-  ASSERT_EQ(reparsed.size(), result.size());
-  for (std::size_t i = 0; i < result.size(); ++i) {
-    EXPECT_EQ(sim::serialize_result(reparsed.nodes[i]),
-              sim::serialize_result(result.nodes[i]));
-  }
-  EXPECT_EQ(sim::serialize_fleet_result(reparsed), text);
-}
-
-TEST(FleetResultIo, StrictParserFailsLoudly) {
-  sim::FleetResult result;
-  result.nodes.resize(1);
-  const std::string text = sim::serialize_fleet_result(result);
-  EXPECT_THROW(sim::parse_fleet_result(text + "x"), canon::FormatError);
-  EXPECT_THROW(sim::parse_fleet_result(text.substr(0, text.size() - 4)),
-               canon::FormatError);
-  EXPECT_THROW(sim::parse_fleet_result("edc.FleetResult v999\nnodes 0\n"),
-               canon::FormatError);
-  EXPECT_THROW(sim::parse_fleet_result(""), canon::FormatError);
-}
-
 // --------------------------------- N=1 bit-identity vs the scalar path -----
 
+/// Canonical result bytes of each row, for whole-fleet comparisons.
+std::vector<std::string> row_bytes(const std::vector<sim::SimResult>& rows) {
+  std::vector<std::string> bytes;
+  bytes.reserve(rows.size());
+  for (const sim::SimResult& row : rows) bytes.push_back(sim::serialize_result(row));
+  return bytes;
+}
+
+/// The one-thread runner the bit-identity checks run fleets through.
+sweep::Runner serial_runner() {
+  sweep::RunnerOptions options;
+  options.threads = 1;
+  return sweep::Runner(options);
+}
+
 /// Runs `node` standalone through the scalar simulator and as a 1-node
-/// uncoupled fleet, asserting byte equality of the canonical result
-/// serialization (full SimResult: ledger, metrics, NVM counters,
-/// transitions, probe waveforms).
+/// uncoupled fleet grid through the Runner, asserting byte equality of the
+/// canonical result serialization (full SimResult: ledger, metrics, NVM
+/// counters, transitions, probe waveforms).
 void expect_scalar_identity(SystemSpec node) {
   node.sim.t_end = 0.4;
   node.storage.bleed = 20000.0;
@@ -275,18 +267,9 @@ void expect_scalar_identity(SystemSpec node) {
 
   FleetSpec fleet;
   fleet.nodes = {node};
-  const sim::FleetResult via_fleet = sim::FleetSimulator(fleet).run();
-  ASSERT_EQ(via_fleet.size(), 1u);
-  EXPECT_EQ(sim::serialize_result(via_fleet.nodes[0]),
-            sim::serialize_result(scalar));
-
-  // And through the sweep adapter (grid + runner path).
-  sweep::RunnerOptions options;
-  options.threads = 1;
-  const sim::FleetResult via_sweep = sweep::run_fleet(fleet, sweep::Runner(options));
-  ASSERT_EQ(via_sweep.size(), 1u);
-  EXPECT_EQ(sim::serialize_result(via_sweep.nodes[0]),
-            sim::serialize_result(scalar));
+  const auto rows = serial_runner().run(sweep::fleet_grid(fleet));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(sim::serialize_result(rows[0]), sim::serialize_result(scalar));
 }
 
 SystemSpec crc_node() {
@@ -453,26 +436,31 @@ TEST(FleetScalarIdentity, AdaptiveBufferPolicy) {
 
 // -------------------------------------------- fleet runs and the cache -----
 
-TEST(FleetRun, SimulatorAndSweepAdapterAgreeBitForBit) {
+// Row i of the fleet grid is node i: its spec is the lowered node spec and
+// its bytes equal a standalone run of that spec.
+TEST(FleetRun, GridRowsEqualStandaloneNodeRuns) {
   const FleetSpec fleet = example_rf_fleet(3);
-  const sim::FleetResult direct = sim::FleetSimulator(fleet).run();
-  sweep::RunnerOptions options;
-  options.threads = 1;
-  const sim::FleetResult swept = sweep::run_fleet(fleet, sweep::Runner(options));
-  ASSERT_EQ(direct.size(), 3u);
-  ASSERT_EQ(swept.size(), 3u);
-  EXPECT_EQ(sim::serialize_fleet_result(swept),
-            sim::serialize_fleet_result(direct));
+  const sweep::Grid grid = sweep::fleet_grid(fleet);
+  ASSERT_EQ(grid.size(), 3u);
+  const auto rows = serial_runner().run(grid);
+  ASSERT_EQ(rows.size(), 3u);
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    const SystemSpec lowered = fleet_node_spec(fleet, i);
+    EXPECT_EQ(grid.point(i).labels, std::vector<std::string>{"node" + std::to_string(i)});
+    EXPECT_EQ(serialize(grid.point(i).spec), serialize(lowered));
+    EXPECT_EQ(sim::serialize_result(rows[i]),
+              sim::serialize_result(instantiate(lowered).run()));
+  }
   // Distinct gains/windows really differentiate the nodes.
-  EXPECT_NE(sim::serialize_result(direct.nodes[0]),
-            sim::serialize_result(direct.nodes[1]));
-  EXPECT_GT(direct.nodes[0].harvested, direct.nodes[1].harvested);
+  EXPECT_NE(sim::serialize_result(rows[0]), sim::serialize_result(rows[1]));
+  EXPECT_GT(rows[0].harvested, rows[1].harvested);
 }
 
 TEST(FleetRun, RepeatRunsAreDeterministic) {
-  const sim::FleetSimulator simulator(example_rf_fleet(2));
-  EXPECT_EQ(sim::serialize_fleet_result(simulator.run()),
-            sim::serialize_fleet_result(simulator.run()));
+  const sweep::Grid grid = sweep::fleet_grid(example_rf_fleet(2));
+  const sweep::Runner runner;
+  EXPECT_EQ(row_bytes(runner.run(grid)), row_bytes(runner.run(grid)));
 }
 
 TEST(FleetRun, ColdWarmCacheRoundTrip) {
@@ -486,18 +474,24 @@ TEST(FleetRun, ColdWarmCacheRoundTrip) {
   options.cache = &cache;
   const sweep::Runner runner(options);
 
+  const sweep::Grid grid = sweep::fleet_grid(fleet);
+
   sweep::RunReport cold_report;
-  const sim::FleetResult cold = sweep::run_fleet(fleet, runner, &cold_report);
+  const auto cold = runner.run(grid, &cold_report);
   EXPECT_EQ(cold_report.fresh_count(), 3u);
   EXPECT_EQ(cold_report.warm_count(), 0u);
+  // The example fleet is sized so every node completes its workload.
+  EXPECT_EQ(std::count_if(cold.begin(), cold.end(),
+                          [](const sim::SimResult& node) { return node.mcu.completed; }),
+            3);
 
   sweep::RunReport warm_report;
-  const sim::FleetResult warm = sweep::run_fleet(fleet, runner, &warm_report);
+  const auto warm = runner.run(grid, &warm_report);
   EXPECT_EQ(warm_report.fresh_count(), 0u);
   EXPECT_EQ(warm_report.warm_count(), 3u);
 
   // Warm rows replay the cold bytes exactly.
-  EXPECT_EQ(sim::serialize_fleet_result(warm), sim::serialize_fleet_result(cold));
+  EXPECT_EQ(row_bytes(warm), row_bytes(cold));
 
   std::filesystem::remove_all(dir);
 }

@@ -1,14 +1,14 @@
 // Seeded mutation suite for the canonical parsers: spec::parse_spec,
-// spec::parse_fleet, sim::parse_result, sim::parse_fleet_result and the
-// sweep cache's entry decode (Cache::fsck_entry + Cache::load on a planted
-// entry). Every mutant of a canonical seed text must either be rejected
-// with canon::FormatError, or be accepted with a canonical re-serialization
-// c that is a fixed point: serialize(parse(c)) == c. Any other outcome —
-// another exception type, a crash, a sanitizer report — fails and prints
-// the seed and the input. Non-canonical spellings such as 1e308 stay
-// accepted. Mutations: truncation at every byte; random byte flips,
-// deletions and splices; numeric-token swaps (-1, nan, inf, 1e308,
-// 2^64-1); and one deterministic pass setting every count token to 2^64-1.
+// spec::parse_fleet, sim::parse_result and the sweep cache's entry decode
+// (Cache::fsck_entry + Cache::load on a planted entry). Every mutant of a
+// canonical seed text must either be rejected with canon::FormatError, or
+// be accepted with a canonical re-serialization c that is a fixed point:
+// serialize(parse(c)) == c. Any other outcome — another exception type, a
+// crash, a sanitizer report — fails and prints the seed and the input.
+// Non-canonical spellings such as 1e308 stay accepted. Mutations:
+// truncation at every byte; random byte flips, deletions and splices;
+// numeric-token swaps (-1, nan, inf, 1e308, 2^64-1); and one deterministic
+// pass setting every count token to 2^64-1.
 //
 // ctest runs the fixed seed list below. Longer local runs:
 //   EDC_PROPERTY_SEED=<n>        run seed n only
@@ -140,8 +140,6 @@ struct Codec {
 };
 
 std::vector<Codec> codecs(const std::shared_ptr<const CacheFixture>& fixture) {
-  sim::FleetResult fleet;
-  fleet.nodes = {sim::parse_result(fixture->row), sim::parse_result(fixture->row)};
   return {
       {"parse_spec",
        {spec::document(cheap_spec()), spec::document(traced_governed_spec())},
@@ -152,11 +150,6 @@ std::vector<Codec> codecs(const std::shared_ptr<const CacheFixture>& fixture) {
       {"parse_result",
        {fixture->row},
        [](const std::string& x) { return sim::serialize_result(sim::parse_result(x)); }},
-      {"parse_fleet_result",
-       {sim::serialize_fleet_result(fleet)},
-       [](const std::string& x) {
-         return sim::serialize_fleet_result(sim::parse_fleet_result(x));
-       }},
       {"cache entry",
        {fixture->entry},
        [fixture](const std::string& x) { return fixture->reframe(fixture->load(x)); }},

@@ -279,21 +279,21 @@ std::vector<NamedFleet> covering_fleets() {
 // Result-side pins: a hand-built SimResult that sets every field (no
 // simulator output, so engine changes never move these bytes), with two
 // transitions and two probes, one of them a single sample with dt 0.
-sim::SimResult pinned_result(double scale) {
+sim::SimResult pinned_result() {
   sim::SimResult r;
-  r.end_time = 1.25 * scale;
-  r.harvested = 3.0517578125e-05 * scale;
-  r.consumed = 2.5e-05 * scale;
-  r.dissipated = 1.0e-7 * scale;
-  r.stored_initial = 1.5e-06 * scale;
-  r.stored_final = 4.0517578125e-06 * scale;
+  r.end_time = 1.25;
+  r.harvested = 3.0517578125e-05;
+  r.consumed = 2.5e-05;
+  r.dissipated = 1.0e-7;
+  r.stored_initial = 1.5e-06;
+  r.stored_final = 4.0517578125e-06;
   r.nvm_torn_writes = 3;
   r.nvm_commits = 17;
   r.fine_steps = 123456;
   r.span_steps = 18446744073709551615ull;
   r.spans = 42;
   auto& m = r.mcu;
-  m.time_off = 0.5 * scale;
+  m.time_off = 0.5;
   m.time_boot = 0.0625;
   m.time_active = 0.3;
   m.time_saving = 0.001;
@@ -327,12 +327,8 @@ sim::SimResult pinned_result(double scale) {
 }
 
 TEST(SpecSerial, PinnedResultRowsRoundTripByteIdentically) {
-  const std::string row = sim::serialize_result(pinned_result(1.0));
+  const std::string row = sim::serialize_result(pinned_result());
   EXPECT_EQ(sim::serialize_result(sim::parse_result(row)), row);
-  sim::FleetResult fleet;
-  fleet.nodes = {pinned_result(1.0), pinned_result(2.0)};
-  const std::string fleet_text = sim::serialize_fleet_result(fleet);
-  EXPECT_EQ(sim::serialize_fleet_result(sim::parse_fleet_result(fleet_text)), fleet_text);
 }
 
 TEST(SpecSerial, RoundTripIsByteIdentical) {
@@ -594,7 +590,7 @@ std::string stored_entry_bytes() {
   std::filesystem::remove_all(dir);
   const sweep::Cache cache(dir);
   const std::string key = "pinned cache key\n";
-  cache.store(key, pinned_result(1.0), 1234.5, 'b');
+  cache.store(key, pinned_result(), 1234.5, 'b');
   std::ifstream in(cache.entry_path(key), std::ios::binary);
   std::ostringstream bytes;
   bytes << in.rdbuf();
@@ -629,21 +625,17 @@ const std::vector<GoldenFile>& golden_registry() {
          return entries;
        }},
       {"result_hashes.txt",
-       "hand-built pinned_result() row, fleet result and cache entry",
+       "hand-built pinned_result() row and cache entry",
        "result format v" + std::to_string(sim::kResultFormatVersion) +
-           ", fleet result v" + std::to_string(sim::kFleetResultFormatVersion) +
            ", cache entry v3",
-       "sim::kResultFormatVersion (or sim::kFleetResultFormatVersion, or\n"
-       "# the entry magic in sweep/cache.cpp)",
+       "sim::kResultFormatVersion (or the entry magic in\n"
+       "# sweep/cache.cpp)",
        [] {
          const auto hash = [](const std::string& bytes) {
            return hash_hex(spec::fnv1a64(bytes));
          };
-         sim::FleetResult fleet;
-         fleet.nodes = {pinned_result(1.0), pinned_result(2.0)};
          return std::map<std::string, std::string>{
-             {"sim-result", hash(sim::serialize_result(pinned_result(1.0)))},
-             {"fleet-result", hash(sim::serialize_fleet_result(fleet))},
+             {"sim-result", hash(sim::serialize_result(pinned_result()))},
              {"cache-entry", hash(stored_entry_bytes())},
          };
        }},

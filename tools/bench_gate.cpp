@@ -15,14 +15,15 @@
 //
 // --points-gate turns the solver-guided searches' probe accounting into
 // gates: --points-csv FILE reads the search telemetry CSVs that
-// eq5_crossover --solve / design_query emit
-// ("name,probes,simulated,warm,grid_points", see sweep/search.h) and
-// --points-gate Name=MaxPoints asserts the named search simulated at most
-// MaxPoints cold points. MaxPoints may be 0 — the warm-rerun gate: a
-// cached query must contract with zero simulations:
+// design_query --search-csv emits ("name,probes,simulated,warm,grid_points",
+// see sweep/search.h) and --points-gate Name=MaxPoints asserts the named
+// search simulated at most MaxPoints cold points. MaxPoints may be 0 — the
+// warm-rerun gate: a cached query must contract with zero simulations.
+// Counts are whole decimal numbers; a sign (as in -1, which would wrap to
+// 2^64 - 1 and never fail) is rejected:
 //
-//   bench_gate --points-csv search.csv --points-gate Eq5Solve=24 \
-//              --points-gate Eq5SolveWarm=0
+//   bench_gate --points-csv search.csv --points-gate DesignQuery=30
+//              --points-gate DesignQueryWarm=0
 //
 // Exit status 0 iff every gated pair is present and at or above its
 // threshold — so a quiescent-engine or batch-kernel speedup that silently
@@ -36,6 +37,7 @@
 // "real_time" and "time_unit" keys of each benchmark object in the order
 // google-benchmark emits them. Unknown pairs and non-BM_MacroPair entries
 // are ignored.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,9 +45,18 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
+
+/// A whole unsigned decimal count that fills `text`: std::from_chars takes
+/// no sign or space, so "-1" fails instead of wrapping to 2^64 - 1.
+bool parse_count(std::string_view text, unsigned long long& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
 struct Sample {
   double real_time = 0.0;
@@ -148,15 +159,14 @@ bool collect_points(const std::string& path,
       return false;
     }
     PointsRow row;
-    const char* cursor = line.c_str() + comma + 1;
     unsigned long long* fields[] = {&row.probes, &row.simulated, &row.warm,
                                     &row.grid_points};
+    std::string_view rest = std::string_view(line).substr(comma + 1);
     bool ok = true;
     for (std::size_t f = 0; f < 4 && ok; ++f) {
-      char* end = nullptr;
-      *fields[f] = std::strtoull(cursor, &end, 10);
-      ok = end != cursor && (f == 3 ? *end == '\0' : *end == ',');
-      cursor = end + 1;
+      const std::size_t next = f == 3 ? rest.size() : rest.find(',');
+      ok = next != std::string_view::npos && parse_count(rest.substr(0, next), *fields[f]);
+      if (ok && f < 3) rest.remove_prefix(next + 1);
     }
     if (!ok) {
       std::fprintf(stderr, "bad telemetry row in '%s': %s\n", path.c_str(),
@@ -226,10 +236,8 @@ int main(int argc, char** argv) {
       const std::string spec = argv[++i];
       const std::size_t eq = spec.find('=');
       if (eq == std::string::npos || eq == 0) return usage(argv[0]);
-      char* end = nullptr;
-      const unsigned long long max_points =
-          std::strtoull(spec.c_str() + eq + 1, &end, 10);
-      if (end == spec.c_str() + eq + 1 || *end != '\0') {
+      unsigned long long max_points = 0;
+      if (!parse_count(std::string_view(spec).substr(eq + 1), max_points)) {
         std::fprintf(stderr, "bad --points-gate count: '%s'\n", spec.c_str());
         return 2;
       }

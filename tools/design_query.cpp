@@ -37,7 +37,9 @@
 // sweep/search.h). --cache memoises probes on disk — a warm rerun of the
 // same query simulates zero points — and --search-csv appends the
 // "name,probes,simulated,warm,grid_points" telemetry row that
-// tools/bench_gate --points-gate asserts in CI.
+// tools/bench_gate --points-gate asserts in CI. Numbers must be finite and
+// counts whole decimal integers; anything else exits 2 before a probe runs.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +49,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -185,11 +188,23 @@ sweep::SearchObjective make_objective(const std::string& name, double target) {
   throw std::invalid_argument("unknown --objective '" + name + "'");
 }
 
-bool parse_double(const char* text, double& out) {
+/// A flag value: a finite number, or a whole unsigned decimal count
+/// (std::from_chars takes no sign, space, fraction or exponent, and reports
+/// values past size_t as out of range).
+bool parse_arg(const char* text, double& out) {
   char* end = nullptr;
   out = std::strtod(text, &end);
-  return end != text && *end == '\0';
+  return end != text && *end == '\0' && std::isfinite(out);
 }
+bool parse_arg(const char* text, std::size_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// Largest --lattice/--log-lattice: bisection needs ~20 probes here, and a
+/// larger lattice only costs memory (8 bytes a point).
+constexpr std::size_t kMaxLattice = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -205,25 +220,26 @@ int main(int argc, char** argv) {
   double hi = 1e-3;
   bool hi_overridden = false;
   double tol = 1e-6;
-  long lattice_n = 0;
+  std::size_t lattice_n = 0;
   bool log_lattice = false;
-  long max_probes = 64;
+  std::size_t max_probes = 64;
   std::optional<sweep::Cache> cache;
   const char* search_csv_path = nullptr;
   const char* search_name = "DesignQuery";
 
   for (int i = 1; i < argc; ++i) {
-    const auto number_flag = [&](const char* flag, double& out) {
+    const auto value_flag = [&](const char* flag, auto& out) {
       if (std::strcmp(argv[i], flag) != 0 || i + 1 >= argc) return false;
-      if (!parse_double(argv[i + 1], out)) {
-        std::fprintf(stderr, "%s needs a number, got '%s'\n", flag, argv[i + 1]);
+      if (!parse_arg(argv[i + 1], out)) {
+        std::fprintf(stderr, "%s needs %s, got '%s'\n", flag,
+                     std::is_same_v<decltype(out), double&> ? "a finite number"
+                                                            : "a whole number in range",
+                     argv[i + 1]);
         std::exit(2);
       }
       ++i;
       return true;
     };
-    double probes_value = 0.0;
-    double lattice_value = 0.0;
     if (std::strcmp(argv[i], "--demo") == 0) {
       demo = true;
     } else if (std::strcmp(argv[i], "--fleet-demo") == 0) {
@@ -242,18 +258,14 @@ int main(int argc, char** argv) {
       search_csv_path = argv[++i];
     } else if (std::strcmp(argv[i], "--search-name") == 0 && i + 1 < argc) {
       search_name = argv[++i];
-    } else if (number_flag("--hi", hi)) {
+    } else if (value_flag("--hi", hi)) {
       hi_overridden = true;
-    } else if (number_flag("--target", target) || number_flag("--lo", lo) ||
-               number_flag("--tol", tol)) {
+    } else if (value_flag("--target", target) || value_flag("--lo", lo) ||
+               value_flag("--tol", tol) || value_flag("--max-probes", max_probes)) {
       // parsed in the condition
-    } else if (number_flag("--max-probes", probes_value)) {
-      max_probes = static_cast<long>(probes_value);
-    } else if (number_flag("--lattice", lattice_value)) {
-      lattice_n = static_cast<long>(lattice_value);
+    } else if (value_flag("--lattice", lattice_n)) {
       log_lattice = false;
-    } else if (number_flag("--log-lattice", lattice_value)) {
-      lattice_n = static_cast<long>(lattice_value);
+    } else if (value_flag("--log-lattice", lattice_n)) {
       log_lattice = true;
     } else {
       return usage(argv[0]);
@@ -265,13 +277,22 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
   if (!(lo < hi) || !(tol > 0.0) || max_probes < 2 ||
-      (lattice_n != 0 && lattice_n < 2)) {
+      (lattice_n != 0 && (lattice_n < 2 || lattice_n > kMaxLattice))) {
     std::fprintf(stderr, "need --lo < --hi, --tol > 0, --max-probes >= 2 and "
-                         "--lattice/--log-lattice >= 2\n");
+                         "--lattice/--log-lattice in [2, %zu]\n", kMaxLattice);
     return 2;
   }
   if (log_lattice && !(lo > 0.0)) {
     std::fprintf(stderr, "--log-lattice needs --lo > 0\n");
+    return 2;
+  }
+  // A contraction reports the dense-equivalent resolution: the grid a
+  // tolerance-matched linear sweep would need (one point per tol-sized
+  // cell, inclusive ends). hi - lo may overflow to inf.
+  const double contract_cells = std::ceil((hi - lo) / tol);
+  if (!fleet_demo && lattice_n == 0 && !(contract_cells < 0x1p64)) {
+    std::fprintf(stderr, "--tol %g over [%g, %g] needs more dense-equivalent "
+                         "points than a count can hold\n", tol, lo, hi);
     return 2;
   }
 
@@ -306,7 +327,7 @@ int main(int argc, char** argv) {
     }
 
     sweep::SearchOptions options;
-    options.max_probes = static_cast<std::size_t>(max_probes);
+    options.max_probes = max_probes;
     if (cache.has_value()) options.runner.cache = &*cache;
 
     try {
@@ -324,9 +345,9 @@ int main(int argc, char** argv) {
 
       // Geometric capacitance lattice, 16 cells across [lo, hi].
       std::vector<double> lattice;
-      const long n = lattice_n > 0 ? lattice_n : 17;
-      lattice.reserve(static_cast<std::size_t>(n));
-      for (long i = 0; i < n; ++i) {
+      const std::size_t n = lattice_n > 0 ? lattice_n : 17;
+      lattice.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
         const double t = static_cast<double>(i) / static_cast<double>(n - 1);
         lattice.push_back(lo * std::pow(hi / lo, t));
       }
@@ -419,7 +440,7 @@ int main(int argc, char** argv) {
   }
 
   sweep::SearchOptions options;
-  options.max_probes = static_cast<std::size_t>(max_probes);
+  options.max_probes = max_probes;
   if (cache.has_value()) options.runner.cache = &*cache;
 
   sweep::SearchOutcome outcome;
@@ -429,8 +450,8 @@ int main(int argc, char** argv) {
                          make_objective(objective_name, target), options);
     if (lattice_n > 0) {
       std::vector<double> lattice;
-      lattice.reserve(static_cast<std::size_t>(lattice_n));
-      for (long i = 0; i < lattice_n; ++i) {
+      lattice.reserve(lattice_n);
+      for (std::size_t i = 0; i < lattice_n; ++i) {
         const double t = static_cast<double>(i) / static_cast<double>(lattice_n - 1);
         lattice.push_back(log_lattice ? lo * std::pow(hi / lo, t)
                                       : lo + (hi - lo) * t);
@@ -438,10 +459,7 @@ int main(int argc, char** argv) {
       dense_points = lattice.size();
       outcome = search.bracket_on(lattice);
     } else {
-      // Dense-equivalent resolution: the grid a tolerance-matched linear
-      // sweep would need (one point per tol-sized cell, inclusive ends).
-      dense_points =
-          static_cast<std::size_t>(std::ceil((hi - lo) / tol)) + 1;
+      dense_points = static_cast<std::size_t>(contract_cells) + 1;
       outcome = search.contract(lo, hi, tol);
     }
 

@@ -24,6 +24,7 @@
 //       the versioned layout exists so releases can share one directory.
 //       Healthy caches exit 0; corruption exits 1.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -226,9 +227,11 @@ int main(int argc, char** argv) {
 
   if (command == "prune") {
     if (argc != 5 || std::strcmp(argv[3], "--max-bytes") != 0) return usage(argv[0]);
-    char* end = nullptr;
-    const unsigned long long max_bytes = std::strtoull(argv[4], &end, 10);
-    if (end == argv[4] || *end != '\0') {
+    // from_chars takes no sign, so "-1" fails instead of wrapping to 2^64 - 1.
+    const char* const text_end = argv[4] + std::strlen(argv[4]);
+    unsigned long long max_bytes = 0;
+    const auto [ptr, ec] = std::from_chars(argv[4], text_end, max_bytes);
+    if (ec != std::errc{} || ptr != text_end) {
       std::cerr << "sweep_cache: --max-bytes needs a non-negative integer, got '"
                 << argv[4] << "'\n";
       return 2;
