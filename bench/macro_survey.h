@@ -21,8 +21,9 @@ namespace macro_survey {
 /// gated ratios divide two of these, so repeats only filter scheduler
 /// hiccups out of the measurement — a macro leg in the single-digit
 /// milliseconds would otherwise flake its gate on one preemption.
-/// Instantiation (source/index construction) is deliberately inside the
-/// timed window: it is part of the price a sweep pays per point.
+/// Only system.run() is timed: instantiation (source and quiet-index
+/// construction) happens before the clock starts, unlike BM_MacroPair in
+/// bench/perf_micro.cpp, which times both.
 inline double wall_millis(const edc::spec::SystemSpec& base,
                           edc::sim::SimResult& result, bool macro_stepping,
                           int repeats) {

@@ -78,15 +78,23 @@ BENCHMARK(BM_FullIntermittentSimulation)->Unit(benchmark::kMillisecond);
 
 // ---- fine vs macro stepping on off-dominated scenarios ---------------------
 // Each pair runs the identical spec with macro_stepping toggled; the ratio
-// is the macro stepper's end-to-end speedup on that scenario class.
+// is the macro stepper's end-to-end speedup on that scenario class. Each
+// leg also records its step mix as counters (fine_steps, span_steps,
+// spans): exact and the same on every host, so tools/bench_gate
+// --steps-gate can put ceilings on the macro leg's counts.
 
 void BM_MacroPair(benchmark::State& state, spec::SystemSpec s, bool macro) {
   s.sim.macro_stepping = macro;
+  sim::SimResult last;
   for (auto _ : state) {
     auto system = spec::instantiate(s);
-    benchmark::DoNotOptimize(system.run());
+    last = system.run();
+    benchmark::DoNotOptimize(last);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["fine_steps"] = static_cast<double>(last.fine_steps);
+  state.counters["span_steps"] = static_cast<double>(last.span_steps);
+  state.counters["spans"] = static_cast<double>(last.spans);
 }
 
 /// A 1%-duty square supply: one 80 ms burst every 8 s, then a bled

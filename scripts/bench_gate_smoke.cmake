@@ -9,6 +9,12 @@
 # exceeds, a search the file does not carry, and a negative budget (a
 # usage error, exit 2, rather than a gate at 2^64 - 1 that never fails).
 #
+# The step-mix ceilings (--steps-gate) read the fixture's Fig8WindSurvey
+# macro counters (141371 fine steps, 27697 spans): ceilings at the counts
+# pass, a count one above its ceiling fails (fine steps and spans each),
+# an entry without counters (BrownoutTail, recorded as before perf_micro
+# emitted them) fails, and a signed ceiling is a usage error (exit 2).
+#
 # Invoked as:
 #   cmake -DGATE=<bench_gate> -DFIXTURE=<bench_gate_sample.json>
 #         -DPOINTS_FIXTURE=<search_points_sample.csv> -P this_file
@@ -114,6 +120,40 @@ execute_process(
   ERROR_VARIABLE points_negative_err)
 if(NOT points_negative_result EQUAL 2)
   message(FATAL_ERROR "expected --points-gate Eq5Solve=-1 to exit 2, got ${points_negative_result}:\n${points_negative_out}${points_negative_err}")
+endif()
+
+# 8. Step-mix ceilings: exact counts, so the gate holds at the recorded
+# counts and fails one step (or one span) past them.
+execute_process(
+  COMMAND ${GATE} ${FIXTURE} --steps-gate Fig8WindSurvey=141371,27697
+  RESULT_VARIABLE steps_pass_result OUTPUT_VARIABLE steps_pass_out)
+if(NOT steps_pass_result EQUAL 0 OR NOT steps_pass_out MATCHES "\\[PASS\\] Fig8WindSurvey")
+  message(FATAL_ERROR "expected the step ceilings at the recorded counts to pass, got exit ${steps_pass_result}:\n${steps_pass_out}")
+endif()
+foreach(ceilings "141370,27697" "141371,27696")
+  execute_process(
+    COMMAND ${GATE} ${FIXTURE} --steps-gate Fig8WindSurvey=${ceilings}
+    RESULT_VARIABLE steps_fail_result OUTPUT_VARIABLE steps_fail_out)
+  if(NOT steps_fail_result EQUAL 1 OR NOT steps_fail_out MATCHES "\\[FAIL\\] Fig8WindSurvey")
+    message(FATAL_ERROR "expected --steps-gate Fig8WindSurvey=${ceilings} to fail, got exit ${steps_fail_result}:\n${steps_fail_out}")
+  endif()
+endforeach()
+
+# 9. An entry without step-mix counters fails, not silently passes.
+execute_process(
+  COMMAND ${GATE} ${FIXTURE} --steps-gate BrownoutTail=2062,16
+  RESULT_VARIABLE steps_missing_result OUTPUT_VARIABLE steps_missing_out)
+if(NOT steps_missing_result EQUAL 1 OR NOT steps_missing_out MATCHES "missing fine_steps counter")
+  message(FATAL_ERROR "expected --steps-gate on an entry without counters to fail, got exit ${steps_missing_result}:\n${steps_missing_out}")
+endif()
+
+# 10. A signed ceiling is a usage error (exit 2), never a wrapped count.
+execute_process(
+  COMMAND ${GATE} ${FIXTURE} --steps-gate Fig8WindSurvey=-1,27697
+  RESULT_VARIABLE steps_negative_result OUTPUT_VARIABLE steps_negative_out
+  ERROR_VARIABLE steps_negative_err)
+if(NOT steps_negative_result EQUAL 2)
+  message(FATAL_ERROR "expected --steps-gate Fig8WindSurvey=-1,27697 to exit 2, got ${steps_negative_result}:\n${steps_negative_out}${steps_negative_err}")
 endif()
 
 message(STATUS "bench_gate smoke: pass/fail/missing verdicts all correct")

@@ -6,7 +6,10 @@
 #   * the cold run simulates N > 0 of the 51 dense-equivalent points and
 #     replays none;
 #   * the warm rerun simulates zero points and replays the same N;
-#   * both runs print a threshold bracket.
+#   * both runs print a threshold bracket;
+#   * each flag the fleet query has no use for (--axis, --objective,
+#     --target, --tol, --lattice, --print-spec) exits 2 with nothing on
+#     stdout, before any probe runs.
 #
 # The library-level fleet contracts (cold 3 / warm 0 / byte-identical rows,
 # every node completing, N=1 bit-identity) live in tests/fleet_test.cpp.
@@ -49,5 +52,22 @@ endif()
 if(NOT warm_out MATCHES "simulated 0 of 51 dense-equivalent points, ${cold_points} replayed warm")
   message(FATAL_ERROR "warm design_query --fleet-demo did not replay the ${cold_points} cold points:\n${warm_out}")
 endif()
+
+# 3. Flags the fixed fleet question has no use for are usage errors, not
+# no-ops.
+foreach(rejected "--axis;bleed" "--objective;completed" "--target;5"
+                 "--tol;1e-9" "--lattice;5" "--print-spec")
+  execute_process(
+    COMMAND ${DQ} --fleet-demo ${rejected}
+    RESULT_VARIABLE rejected_result OUTPUT_VARIABLE rejected_out
+    ERROR_VARIABLE rejected_err)
+  list(GET rejected 0 rejected_flag)
+  if(NOT rejected_result EQUAL 2 OR NOT rejected_out STREQUAL "")
+    message(FATAL_ERROR "design_query --fleet-demo ${rejected_flag} should exit 2 with empty stdout, got ${rejected_result}:\n${rejected_out}\n${rejected_err}")
+  endif()
+  if(NOT rejected_err MATCHES "does not take ${rejected_flag}")
+    message(FATAL_ERROR "design_query --fleet-demo ${rejected_flag} did not name the flag:\n${rejected_err}")
+  endif()
+endforeach()
 
 message(STATUS "fleet smoke: shared-RF fleet query simulated ${cold_points} points cold, 0 warm")

@@ -220,10 +220,16 @@ std::string SquareVoltageSource::name() const {
 
 // ---------------------------------------------------------------- Wind -----
 
-WindTurbineSource::WindTurbineSource(const Params& params) : params_(params) {
+WindTurbineSource::WindTurbineSource(const Params& params)
+    : params_(params),
+      t_star_(params.gust_rise * std::log(1.0 + params.gust_fall / params.gust_rise)),
+      norm_((1.0 - std::exp(-t_star_ / params.gust_rise)) *
+            std::exp(-t_star_ / params.gust_fall)) {
   EDC_CHECK(params.peak_voltage > 0.0, "peak voltage must be positive");
   EDC_CHECK(params.peak_frequency > 0.0, "peak frequency must be positive");
   EDC_CHECK(params.coil_resistance > 0.0, "coil resistance must be positive");
+  EDC_CHECK(params.gust_rise > 0.0 && params.gust_fall > 0.0,
+            "gust time constants must be positive");
 }
 
 WindTurbineSource WindTurbineSource::single_gust() { return single_gust(Params{}); }
@@ -252,6 +258,7 @@ WindTurbineSource::WindTurbineSource(const Params& params, std::uint64_t seed,
                                      Seconds horizon)
     : WindTurbineSource(params) {
   EDC_CHECK(horizon > 0.0, "horizon must be positive");
+  EDC_CHECK(params.gust_period > 0.0, "gust period must be positive");
   Rng rng(seed);
   Seconds t = 0.0;
   while (t < horizon) {
@@ -284,15 +291,10 @@ Volts WindTurbineSource::envelope_raw(Seconds t) const {
     const Seconds rel = t - gust.start;
     if (rel <= 0.0) continue;
     // Gamma-like bump: fast rise (time constant gust_rise), exponential decay
-    // (time constant gust_fall), normalised to peak at 1. The peak is at
-    // t* = tau_r * ln(1 + tau_f/tau_r) (where the derivative vanishes).
+    // (time constant gust_fall), normalised to peak at 1 by norm_.
     const double rise = 1.0 - std::exp(-rel / params_.gust_rise);
     const double fall = std::exp(-rel / params_.gust_fall);
-    const double t_star =
-        params_.gust_rise * std::log(1.0 + params_.gust_fall / params_.gust_rise);
-    const double norm = (1.0 - std::exp(-t_star / params_.gust_rise)) *
-                        std::exp(-t_star / params_.gust_fall);
-    env += gust.strength * rise * fall / norm;
+    env += gust.strength * rise * fall / norm_;
   }
   return params_.peak_voltage * env;
 }
@@ -319,10 +321,7 @@ void WindTurbineSource::build_quiet_index() {
   // cut-in, after which the source is certified zero forever.
   const double tau_r = params_.gust_rise;
   const double tau_f = params_.gust_fall;
-  const double t_star = tau_r * std::log(1.0 + tau_f / tau_r);
-  const double norm =
-      (1.0 - std::exp(-t_star / tau_r)) * std::exp(-t_star / tau_f);
-  const double peak = params_.peak_voltage / norm;  // U's strength scale
+  const double peak = params_.peak_voltage / norm_;  // U's strength scale
   const double slope_factor = 1.0 / tau_r + 1.0 / tau_f;
   const double cut_in = params_.cut_in_voltage;
 
@@ -342,7 +341,7 @@ void WindTurbineSource::build_quiet_index() {
           ? tau_f * std::log(std::max(peak * strength_total / cut_in, 1.0))
           : 60.0 * tau_f;
   const std::size_t max_cells =
-      static_cast<std::size_t>((last_start + t_star + tail_decay) / w) + 4;
+      static_cast<std::size_t>((last_start + t_star_ + tail_decay) / w) + 4;
 
   std::vector<QuietSegmentIndex::Bounds> cells;
   cells.reserve(max_cells);

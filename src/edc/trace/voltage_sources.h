@@ -144,6 +144,11 @@ class WindTurbineSource final : public VoltageSource {
   void build_quiet_index();
 
   Params params_;
+  // Each gust is the bump (1 - exp(-rel/tau_r)) * exp(-rel/tau_f), which
+  // peaks at t_star_ = tau_r * ln(1 + tau_f/tau_r) with value norm_; the
+  // envelope divides by norm_ so a unit-strength gust peaks at 1.
+  double t_star_;
+  double norm_;
   std::vector<Gust> gusts_;
   // Electrical phase is the integral of instantaneous frequency; we sample it
   // on a fine grid at construction so open_circuit_voltage() stays a pure

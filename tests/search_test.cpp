@@ -94,9 +94,11 @@ spec::SystemSpec eq5_spec() {
 }
 
 sweep::SearchAxis eq5_axis() {
-  return {"f_interrupt (Hz)", [](spec::SystemSpec& s, double f) {
+  return {"f_interrupt (Hz)",
+          [](spec::SystemSpec& s, double f) {
             s.source = spec::SquareSource{3.3, f, 0.5, 0.0, 50.0};
-          }};
+          },
+          {}};
 }
 
 std::vector<sweep::AxisValue> eq5_policies() {

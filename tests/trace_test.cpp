@@ -1,5 +1,7 @@
 // Unit tests for the energy-environment substrate (edc/trace).
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -265,6 +267,60 @@ TEST(WindTurbine, StochasticGustsDeterministic) {
   for (Seconds t = 0.0; t < 30.0; t += 0.37) {
     EXPECT_DOUBLE_EQ(a.open_circuit_voltage(t), b.open_circuit_voltage(t));
   }
+}
+
+TEST(WindTurbine, SeededOutputBitsArePinned) {
+  // The seeded Fig 8 turbine (gusts start at 0 and near 4.8, 11.6 and 24 s)
+  // bit for bit: t = 0, gust rises, peaks, decays, a below-cut-in stall
+  // (22-24 s), the tail past the 30 s horizon and the dead zone after it.
+  // Any change to the order of the envelope arithmetic moves some of these
+  // bits.
+  const WindTurbineSource turbine(WindTurbineSource::Params{}, 3, 30.0);
+  struct Pin {
+    Seconds t;
+    std::uint64_t envelope;
+    std::uint64_t voltage;
+  };
+  const Pin pins[] = {
+      {0.0, 0x0000000000000000, 0x0000000000000000},
+      {0.05, 0x3fe9e323b8b6dd08, 0x3fbe9c26758b7d9a},
+      {0.3, 0x400f4f68b806ede0, 0xc00f212e6186d677},
+      {1.3, 0x401db7c842d96cb7, 0xbff665bf979095ee},
+      {3.7, 0x400ccc2f86881c0e, 0xc0084efa73c04877},
+      {4.9, 0x40068e7aa0e6c5df, 0xbfe90ec5c14a9f33},
+      {5.7, 0x400f92d370cb8969, 0x3ffa44bc6686ab90},
+      {11.7, 0x3fffe1861187ceb8, 0xbfd21c0f2ccab174},
+      {12.8, 0x4018ad5add2db6ba, 0x4011df5328646fb8},
+      {17.3, 0x3ff371697d4de442, 0xbff08ceff6478b33},
+      {21.5, 0x3fc73d2a2fbc8a8a, 0xbfb770769e0354a9},
+      {23.0, 0x0000000000000000, 0x0000000000000000},
+      {24.3, 0x400179adcb254448, 0xbfe572d7105b8a9a},
+      {25.4, 0x40166a86842bd33a, 0x4010970f683a1f58},
+      {31.0, 0x3fe52799f65bec18, 0x3fc8e08e34f1c7e5},
+      {34.0, 0x3fc5b3e2337e824e, 0x3fa98585ba5d202b},
+      {50.0, 0x0000000000000000, 0x0000000000000000},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.t);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(turbine.envelope(pin.t)), pin.envelope);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(turbine.open_circuit_voltage(pin.t)),
+              pin.voltage);
+  }
+}
+
+TEST(WindTurbine, RejectsNonPositiveGustTimes) {
+  // A zero or negative gust time constant makes the envelope normaliser
+  // NaN, and a non-positive gust period never advances the gust schedule;
+  // both arrive from spec documents, so they fail as bad input.
+  WindTurbineSource::Params rise;
+  rise.gust_rise = 0.0;
+  EXPECT_THROW(WindTurbineSource(rise, 3, 30.0), std::invalid_argument);
+  WindTurbineSource::Params fall;
+  fall.gust_fall = -2.2;
+  EXPECT_THROW(WindTurbineSource::single_gust(fall), std::invalid_argument);
+  WindTurbineSource::Params period;
+  period.gust_period = 0.0;
+  EXPECT_THROW(WindTurbineSource(period, 3, 30.0), std::invalid_argument);
 }
 
 TEST(IndoorPv, DiurnalRange) {

@@ -13,20 +13,31 @@
 //
 //   bench_gate BENCH_6.json --batch-gate Fig7Survey=2 --batch-gate Eq5Grid=1.2
 //
+// --steps-gate gates the macro legs' step mix, which unlike a ratio is
+// exact and the same on every host: BM_MacroPair records the last run's
+// fine_steps, span_steps and spans as counters, and --steps-gate
+// Name=MaxFine,MaxSpans fails when BM_MacroPair/<Name>_macro ran more fine
+// steps or more spans than its ceiling, or lacks either counter. A planner
+// that stops claiming time shows here on any host, however fast the fine
+// path has become:
+//
+//   bench_gate BENCH_7.json --steps-gate Fig8WindSurvey=141371,27697
+//
 // --points-gate turns the solver-guided searches' probe accounting into
 // gates: --points-csv FILE reads the search telemetry CSVs that
 // design_query --search-csv emits ("name,probes,simulated,warm,grid_points",
 // see sweep/search.h) and --points-gate Name=MaxPoints asserts the named
 // search simulated at most MaxPoints cold points. MaxPoints may be 0 — the
 // warm-rerun gate: a cached query must contract with zero simulations.
-// Counts are whole decimal numbers; a sign (as in -1, which would wrap to
-// 2^64 - 1 and never fail) is rejected:
+// Counts here and in --steps-gate are whole decimal numbers; a sign (as in
+// -1, which would wrap to 2^64 - 1 and never fail) is rejected:
 //
 //   bench_gate --points-csv search.csv --points-gate DesignQuery=30
 //              --points-gate DesignQueryWarm=0
 //
 // Exit status 0 iff every gated pair is present and at or above its
-// threshold — so a quiescent-engine or batch-kernel speedup that silently
+// threshold, and every counted gate is present and within its ceiling —
+// so a quiescent-engine or batch-kernel speedup that silently
 // regresses turns the CI job red instead of merely shrinking a number in
 // an archived artifact. The same applies to a search that quietly starts
 // probing half the grid. Multiple JSON files merge their entries (later
@@ -34,15 +45,16 @@
 // multiple telemetry CSVs merge the same way (later rows win per name).
 //
 // The parser is deliberately minimal: it scans for the "name",
-// "real_time" and "time_unit" keys of each benchmark object in the order
-// google-benchmark emits them. Unknown pairs and non-BM_MacroPair entries
-// are ignored.
+// "real_time", "time_unit" and step-mix counter keys of each benchmark
+// object in the order google-benchmark emits them. Unknown pairs and
+// non-BM_MacroPair entries are ignored.
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -61,6 +73,10 @@ bool parse_count(std::string_view text, unsigned long long& out) {
 struct Sample {
   double real_time = 0.0;
   std::string unit;
+  /// BM_MacroPair step-mix counters; absent from files recorded before
+  /// perf_micro emitted them.
+  std::optional<double> fine_steps;
+  std::optional<double> spans;
 };
 
 /// Extracts the JSON string that starts at text[pos] (pos at the opening
@@ -97,8 +113,16 @@ std::string find_scalar(const std::string& text, const std::string& key,
   return out;
 }
 
-/// Collects name -> (real_time, unit) for every benchmark entry in the
-/// google-benchmark JSON `text`.
+/// The number that fills `text`, or nullopt (absent key or junk).
+std::optional<double> parse_number(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) return std::nullopt;
+  return value;
+}
+
+/// Collects name -> (real_time, unit, step-mix counters) for every
+/// benchmark entry in the google-benchmark JSON `text`.
 void collect(const std::string& text, std::map<std::string, Sample>& out) {
   // Entries live in the "benchmarks" array; each starts with a "name" key.
   std::size_t at = text.find("\"benchmarks\"");
@@ -116,6 +140,8 @@ void collect(const std::string& text, std::map<std::string, Sample>& out) {
     Sample sample;
     const std::string rt = find_scalar(text, "real_time", q, until);
     sample.unit = find_scalar(text, "time_unit", q, until);
+    sample.fine_steps = parse_number(find_scalar(text, "fine_steps", q, until));
+    sample.spans = parse_number(find_scalar(text, "spans", q, until));
     if (!rt.empty()) {
       char* end = nullptr;
       sample.real_time = std::strtod(rt.c_str(), &end);
@@ -182,12 +208,15 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [BENCH.json ...] [--gate Pair=MinRatio ...] "
                "[--batch-gate Pair=MinRatio ...]\n"
+               "          [--steps-gate Pair=MaxFine,MaxSpans ...]\n"
                "          [--points-csv SEARCH.csv ...] "
                "[--points-gate Name=MaxPoints ...]\n"
                "  --gate       Pair names a BM_MacroPair/<Pair>_fine & _macro "
                "pair; asserts fine/macro >= MinRatio.\n"
                "  --batch-gate Pair names a BM_BatchPair/<Pair>_scalar & "
                "_batch pair; asserts scalar/batch >= MinRatio.\n"
+               "  --steps-gate Pair names a BM_MacroPair/<Pair>_macro entry; "
+               "asserts its fine_steps <= MaxFine and spans <= MaxSpans.\n"
                "  --points-csv reads a search telemetry CSV "
                "(name,probes,simulated,warm,grid_points).\n"
                "  --points-gate asserts the named search simulated <= "
@@ -211,11 +240,18 @@ struct PointsGate {
   unsigned long long max_points = 0;
 };
 
+struct StepsGate {
+  std::string pair;
+  unsigned long long max_fine = 0;
+  unsigned long long max_spans = 0;
+};
+
 int main(int argc, char** argv) {
   std::vector<std::string> files;
   std::vector<std::string> points_files;
   std::vector<Gate> gates;
   std::vector<PointsGate> points_gates;
+  std::vector<StepsGate> steps_gates;
   for (int i = 1; i < argc; ++i) {
     const bool is_gate = std::strcmp(argv[i], "--gate") == 0;
     const bool is_batch_gate = std::strcmp(argv[i], "--batch-gate") == 0;
@@ -242,14 +278,33 @@ int main(int argc, char** argv) {
         return 2;
       }
       points_gates.push_back({spec.substr(0, eq), max_points});
+    } else if (std::strcmp(argv[i], "--steps-gate") == 0 && i + 1 < argc) {
+      const std::string spec = argv[++i];
+      const std::size_t eq = spec.find('=');
+      if (eq == std::string::npos || eq == 0) return usage(argv[0]);
+      const std::string_view counts = std::string_view(spec).substr(eq + 1);
+      const std::size_t comma = counts.find(',');
+      StepsGate gate;
+      gate.pair = spec.substr(0, eq);
+      if (comma == std::string_view::npos ||
+          !parse_count(counts.substr(0, comma), gate.max_fine) ||
+          !parse_count(counts.substr(comma + 1), gate.max_spans)) {
+        std::fprintf(stderr, "bad --steps-gate counts: '%s'\n", spec.c_str());
+        return 2;
+      }
+      steps_gates.push_back(gate);
     } else if (argv[i][0] == '-') {
       return usage(argv[0]);
     } else {
       files.emplace_back(argv[i]);
     }
   }
-  if (gates.empty() && points_gates.empty()) return usage(argv[0]);
-  if (!gates.empty() && files.empty()) return usage(argv[0]);
+  if (gates.empty() && points_gates.empty() && steps_gates.empty()) {
+    return usage(argv[0]);
+  }
+  if ((!gates.empty() || !steps_gates.empty()) && files.empty()) {
+    return usage(argv[0]);
+  }
   if (!points_gates.empty() && points_files.empty()) return usage(argv[0]);
 
   std::map<std::string, Sample> samples;
@@ -317,6 +372,29 @@ int main(int argc, char** argv) {
                 slow->second.unit.c_str(), slow_suffix + 1,
                 fast->second.real_time, fast->second.unit.c_str(),
                 fast_suffix + 1, ratio, gate.min_ratio);
+    if (!ok) ++failures;
+  }
+  for (const StepsGate& gate : steps_gates) {
+    const auto macro = samples.find("BM_MacroPair/" + gate.pair + "_macro");
+    if (macro == samples.end()) {
+      std::printf("[FAIL] %-18s missing _macro entry\n", gate.pair.c_str());
+      ++failures;
+      continue;
+    }
+    const std::optional<double>& fine = macro->second.fine_steps;
+    const std::optional<double>& spans = macro->second.spans;
+    if (!fine || !spans) {
+      std::printf("[FAIL] %-18s missing %s counter\n", gate.pair.c_str(),
+                  !fine ? "fine_steps" : "spans");
+      ++failures;
+      continue;
+    }
+    const bool ok = *fine <= static_cast<double>(gate.max_fine) &&
+                    *spans <= static_cast<double>(gate.max_spans);
+    std::printf("[%s] %-18s %.0f fine steps (gate <= %llu), %.0f spans "
+                "(gate <= %llu)\n",
+                ok ? "PASS" : "FAIL", gate.pair.c_str(), *fine, gate.max_fine,
+                *spans, gate.max_spans);
     if (!ok) ++failures;
   }
   return failures == 0 ? 0 : 1;

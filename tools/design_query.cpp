@@ -12,7 +12,7 @@
 //       (5 V / 6 Hz, seeded gusts): smallest C in [1 uF, 1 mF] that rides
 //       through the full 10 s trace with zero brownouts, to 1 uF.
 //
-//   design_query --spec system.spec --axis capacitance --lo 1e-6 --hi 1e-3 \
+//   design_query --spec system.spec --axis capacitance --lo 1e-6 --hi 1e-3
 //                --objective brownouts --target 0 --tol 1e-6
 //       The same question on any spec document (see spec/serialize.h;
 //       "-" reads the spec from stdin, --print-spec emits the demo's, so
@@ -39,6 +39,11 @@
 // "name,probes,simulated,warm,grid_points" telemetry row that
 // tools/bench_gate --points-gate asserts in CI. Numbers must be finite and
 // counts whole decimal integers; anything else exits 2 before a probe runs.
+//
+// --fleet-demo asks one fixed question (capacitance, every node completes,
+// a geometric lattice), so it takes --lo, --hi, --log-lattice,
+// --max-probes, --cache and --search-csv/--search-name, and exits 2 on
+// --axis, --objective, --target, --tol, --lattice and --print-spec.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -226,6 +231,8 @@ int main(int argc, char** argv) {
   std::optional<sweep::Cache> cache;
   const char* search_csv_path = nullptr;
   const char* search_name = "DesignQuery";
+  // The last flag given that --fleet-demo has no use for.
+  const char* non_fleet_flag = nullptr;
 
   for (int i = 1; i < argc; ++i) {
     const auto value_flag = [&](const char* flag, auto& out) {
@@ -240,6 +247,10 @@ int main(int argc, char** argv) {
       ++i;
       return true;
     };
+    for (const char* flag : {"--axis", "--objective", "--target", "--tol",
+                             "--lattice", "--print-spec"}) {
+      if (std::strcmp(argv[i], flag) == 0) non_fleet_flag = flag;
+    }
     if (std::strcmp(argv[i], "--demo") == 0) {
       demo = true;
     } else if (std::strcmp(argv[i], "--fleet-demo") == 0) {
@@ -275,6 +286,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "pick exactly one of --demo / --fleet-demo / --spec FILE\n");
     return usage(argv[0]);
+  }
+  if (fleet_demo && non_fleet_flag != nullptr) {
+    std::fprintf(stderr,
+                 "--fleet-demo does not take %s: it brackets capacitance for "
+                 "the every-node-completes objective on a geometric lattice\n",
+                 non_fleet_flag);
+    return 2;
   }
   if (!(lo < hi) || !(tol > 0.0) || max_probes < 2 ||
       (lattice_n != 0 && (lattice_n < 2 || lattice_n > kMaxLattice))) {
