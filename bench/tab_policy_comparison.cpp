@@ -27,7 +27,9 @@
 //   tab_policy_comparison --trace-dir datasets/office/
 //
 // Shape checks are skipped in that mode — they are tuned to the synthetic
-// sources.
+// sources. A directory that is missing, holds no *.csv, or holds a trace
+// that does not load exits 2 with the reason on stderr and nothing on
+// stdout.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +37,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "common_flags.h"
@@ -66,8 +69,6 @@ int main(int argc, char** argv) {
                 [&](const char* v) { trace_dir = v; return true; });
   if (!flags.parse(argc, argv)) return 2;
 
-  std::printf("=== Policy comparison across sources (ENSsys'15-style, FFT-2048) ===\n");
-
   spec::SystemSpec base;
   base.storage.capacitance = 22e-6;
   base.storage.bleed = 10000.0;
@@ -89,7 +90,12 @@ int main(int argc, char** argv) {
   if (trace_dir != nullptr) {
     // Measured-dataset mode: one source column per recorded trace in the
     // directory, everything else identical.
-    grid.voltage_trace_dir_axis("source", trace_dir);
+    try {
+      grid.voltage_trace_dir_axis("source", trace_dir);
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "--trace-dir: %s\n", error.what());
+      return 2;
+    }
   } else {
     grid.axis("source",
               {{"square-10Hz",
@@ -128,6 +134,8 @@ int main(int argc, char** argv) {
               }},
              {"hibernus++",
               [](spec::SystemSpec& s) { s.policy = spec::HibernusPlusPlus{}; }}});
+
+  std::printf("=== Policy comparison across sources (ENSsys'15-style, FFT-2048) ===\n");
 
   sweep::RunnerOptions options;
   if (cache.has_value()) options.cache = &*cache;

@@ -5,8 +5,10 @@
 # stderr precisely so stdout stays byte-comparable). Then corrupts one
 # entry and drives the self-healing CLI loop: fsck flags it (exit 1),
 # fsck --quarantine moves it aside to <entry>.bad, and a re-check comes
-# back clean (exit 0). Last, prune --max-bytes -1 must be a usage error
-# (exit 2), not a budget wrapped to 2^64 - 1.
+# back clean (exit 0). Then prune --max-bytes -1 must be a usage error
+# (exit 2), not a budget wrapped to 2^64 - 1. Last, the bench's --trace-dir
+# must exit 2 with nothing on stdout for a missing directory, a directory
+# with no *.csv, and a CSV with one data row.
 #
 #   cmake -DBENCH=<tab_policy_comparison> -DSWEEP_CACHE=<sweep_cache>
 #         -DWORK=<dir> -P this
@@ -94,3 +96,24 @@ execute_process(COMMAND "${SWEEP_CACHE}" prune "${WORK}/cache" --max-bytes -1
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "prune --max-bytes -1 exited ${rc}, expected the usage error 2")
 endif()
+
+# ---- --trace-dir rejects unusable datasets: exit 2, empty stdout -----------
+
+file(MAKE_DIRECTORY "${WORK}/traces_empty")
+file(MAKE_DIRECTORY "${WORK}/traces_one_row")
+file(WRITE "${WORK}/traces_one_row/short.csv" "time,volts\n0,3.3\n")
+foreach(case missing empty one_row)
+  execute_process(COMMAND "${BENCH}" --trace-dir "${WORK}/traces_${case}"
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--trace-dir (${case}) exited ${rc}, expected 2: ${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "--trace-dir (${case}) printed on stdout: ${out}")
+  endif()
+  if(NOT err MATCHES "--trace-dir: ")
+    message(FATAL_ERROR "--trace-dir (${case}) gave no reason on stderr: ${err}")
+  endif()
+endforeach()
+
+message(STATUS "--trace-dir rejected a missing, an empty and a one-row dataset")

@@ -8,7 +8,7 @@
 // becomes a VoltageTraceSource / PowerTraceSource carrying the waveform as
 // plain data. Because the waveform samples are part of the spec, loaded
 // traces serialize canonically like every other source — measured-dataset
-// sweeps are cacheable and shardable exactly like synthetic ones. A cache
+// sweeps are cacheable exactly like synthetic ones. A cache
 // key names the samples by their SHA-256 (spec::serialize), and
 // spec::document writes them out in full.
 //
@@ -37,7 +37,7 @@ namespace edc::spec {
 
 /// All regular "*.csv" files directly inside `dataset_dir`, sorted by
 /// filename so every process enumerates a dataset directory identically
-/// (grid order, cache keys and shard ownership all depend on it). Throws
+/// (grid order and the rows of a report depend on it). Throws
 /// std::invalid_argument when the directory does not exist or holds no CSV
 /// — a silently empty axis would make a zero-point grid. The building
 /// block of the sweep layer's trace-directory axes

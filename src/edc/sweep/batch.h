@@ -18,11 +18,10 @@
 // take the scalar path. Per-point results are bit-identical to the scalar
 // runner (tests/batch_diff_test.cpp); what changes is the wall time and the
 // *provenance* of the recorded cost: a batched point's micros is the
-// chunk's wall time amortized over its lanes, which is the right weight for
-// LPT sharding of a future batched run but must never be silently mixed
-// into a scalar shard plan — hence the provenance codes below, carried
-// through the cache (sweep/cache.h), the CSV reports (sweep/report.h) and
-// the shard-plan tooling (bench/eq5_crossover.cpp).
+// chunk's wall time amortized over its lanes, its marginal cost under a
+// batched re-run, and must never be silently mixed with per-point scalar
+// wall times — hence the provenance codes below, carried in RunReport
+// (sweep/runner.h) and through the cache (sweep/cache.h).
 #pragma once
 
 #include <cstddef>
@@ -53,11 +52,11 @@ inline constexpr char kProvenanceBatch = 'b';   ///< SoA kernel, amortized lane 
 /// whose *sum reproduces the measurement* at microsecond resolution: each
 /// lane gets floor(total/n) whole microseconds and the first total%n lanes
 /// carry one extra. Plain wall/n leaks up to (lanes-1) us of rounding per
-/// group once the costs are serialized, so a shard plan's cost totals
-/// drift away from the wall time a shard planner has to budget against;
-/// remainder distribution keeps the totals exact while every lane still
-/// differs by at most 1 us from the even split. Returns an empty vector
-/// when `lanes` is 0; negative measurements clamp to zero.
+/// group once the costs are serialized, so summed per-point costs would
+/// drift away from the chunks' measured wall time; remainder distribution
+/// keeps the totals exact while every lane still differs by at most 1 us
+/// from the even split. Returns an empty vector when `lanes` is 0;
+/// negative measurements clamp to zero.
 [[nodiscard]] std::vector<double> amortize_lane_micros(double wall_micros,
                                                        std::size_t lanes);
 

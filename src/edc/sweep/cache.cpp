@@ -196,7 +196,7 @@ void Cache::store(const std::string& key_text, const sim::SimResult& result,
   std::filesystem::create_directories(path.parent_path(), ec);
   if (ec) return;  // unwritable cache never fails the sweep
 
-  // Unique temp name per writer (pid + thread, so shard *processes*
+  // Unique temp name per writer (pid + thread, so independent processes
   // sharing one cache directory cannot interleave into the same file);
   // rename() is atomic within the directory, so readers only ever see
   // complete entries.

@@ -32,8 +32,8 @@
 // stale entries instead of misparsing them.
 //
 // Entries are written to a temp file and renamed into place, so concurrent
-// writers (the Runner's worker threads, or independent shard processes
-// pointed at a shared directory) never expose a torn entry. Unreadable
+// writers (the Runner's worker threads, or independent processes pointed
+// at a shared directory) never expose a torn entry. Unreadable
 // entries are treated as misses; *corrupt* entries (bytes present but
 // undecodable, or a stored result that fails to parse) are self-healed:
 // the bad file is quarantined — renamed to <entry>.bad, out of the load /
@@ -72,15 +72,15 @@ struct CacheStats {
 
 /// A cache hit: the memoised result plus the wall time the original
 /// simulation of the point took (microseconds; 0 when unrecorded). The
-/// cost survives cache round trips so warm re-runs can still feed
-/// cost-weighted shard scheduling.
+/// cost survives cache round trips, so a warm re-run still reports each
+/// point's simulation cost (RunReport::micros).
 struct CachedPoint {
   sim::SimResult result;
   double micros = 0.0;
   /// Which execution path produced the stored result: 's' = scalar
   /// simulator, 'b' = batched SoA kernel (see sweep/batch.h). The two are
-  /// bit-identical by contract, but shard-plan/timing consumers need the
-  /// distinction because batch wall times are amortized over a lane group —
+  /// bit-identical by contract, but timing consumers need the distinction
+  /// because batch wall times are amortized over a lane group —
   /// warm hits replay the original provenance so a re-run cannot silently
   /// relabel its timings. Entries written before the field default to 's'
   /// (the batch path did not exist then).

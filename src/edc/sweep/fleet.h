@@ -12,8 +12,8 @@
 //   // nodes[i] is node i; report.fresh_count() == 3 cold, == 0 on the warm rerun
 //
 // The whole Cache/Runner stack applies unchanged: warm reruns replay every
-// node from the cache (the keys are the lowered node specs), batching and
-// threads apply, and shards split a fleet across processes.
+// node from the cache (the keys are the lowered node specs), and batching
+// and threads apply.
 #pragma once
 
 #include "edc/spec/fleet_spec.h"

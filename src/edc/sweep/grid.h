@@ -72,8 +72,8 @@ class Grid {
   /// Axis over a measured-dataset directory: one value per "*.csv" file in
   /// `dataset_dir` (sorted by filename; see spec::list_trace_csvs), each
   /// setting spec.source to the loaded "time,volts" trace behind the
-  /// rectifier front-end. Labels are the file basenames, so reports, cache
-  /// keys and shard CSVs name the dataset file directly — the paper's
+  /// rectifier front-end. Labels are the file basenames, so reports and
+  /// CSVs name the dataset file directly — the paper's
   /// measured-source comparisons become one-liners:
   ///
   ///   grid.voltage_trace_dir_axis("harvester", "datasets/")

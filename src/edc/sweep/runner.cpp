@@ -6,7 +6,6 @@
 #include <exception>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,10 +19,10 @@ namespace edc::sweep {
 
 namespace {
 
-/// One schedulable unit: the row slots of a lockstep chunk (>= 1 lane
+/// One schedulable unit: the grid indices of a lockstep chunk (>= 1 lane
 /// through the kernel) or of a single scalar point.
 struct WorkUnit {
-  std::vector<std::size_t> slots;
+  std::vector<std::size_t> points;
   bool batch = false;
 };
 
@@ -36,21 +35,19 @@ double micros_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-std::vector<sim::SimResult> Runner::execute(const Grid& grid,
-                                            const std::vector<std::size_t>& points,
-                                            RunReport* report) const {
-  std::vector<sim::SimResult> rows(points.size());
+std::vector<sim::SimResult> Runner::run(const Grid& grid, RunReport* report) const {
+  std::vector<sim::SimResult> rows(grid.size());
   if (report != nullptr) {
     report->micros.assign(rows.size(), 0.0);
     report->provenance.assign(rows.size(), kProvenanceScalar);
     report->origin.assign(rows.size(), kOriginFresh);
   }
-  const auto record = [report](std::size_t slot, double micros, char provenance,
+  const auto record = [report](std::size_t i, double micros, char provenance,
                                char origin) {
     if (report == nullptr) return;
-    report->micros[slot] = micros;
-    report->provenance[slot] = provenance;
-    report->origin[slot] = origin;
+    report->micros[i] = micros;
+    report->provenance[i] = provenance;
+    report->origin[i] = origin;
   };
   Cache* cache = options_.cache;
   // The canonical cache key of a spec, or "" when there is no cache or the
@@ -62,8 +59,8 @@ std::vector<sim::SimResult> Runner::execute(const Grid& grid,
   };
   // Resolves one point against the cache (each point exactly once per
   // run): a hit replays the stored row, its original cost and provenance
-  // into the slot; a non-cacheable point is counted.
-  const auto replay_warm = [&](const std::string& key, std::size_t slot) {
+  // into row i; a non-cacheable point is counted.
+  const auto replay_warm = [&](const std::string& key, std::size_t i) {
     if (cache == nullptr) return false;
     if (key.empty()) {
       cache->note_non_cacheable();
@@ -71,8 +68,8 @@ std::vector<sim::SimResult> Runner::execute(const Grid& grid,
     }
     auto hit = cache->load(key);
     if (!hit) return false;
-    rows[slot] = std::move(hit->result);
-    record(slot, hit->micros, hit->provenance, kOriginWarm);
+    rows[i] = std::move(hit->result);
+    record(i, hit->micros, hit->provenance, kOriginWarm);
     return true;
   };
 
@@ -83,13 +80,13 @@ std::vector<sim::SimResult> Runner::execute(const Grid& grid,
     // boundaries and cache stores — deterministic.
     std::map<std::string, std::vector<std::size_t>> groups;
     std::vector<std::size_t> singles;
-    for (std::size_t slot = 0; slot < points.size(); ++slot) {
-      const Point point = grid.point(points[slot]);
-      if (replay_warm(cache_key(point.spec), slot)) continue;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const Point point = grid.point(i);
+      if (replay_warm(cache_key(point.spec), i)) continue;
       if (auto key = batch_group_key(point.spec)) {
-        groups[*key].push_back(slot);
+        groups[*key].push_back(i);
       } else {
-        singles.push_back(slot);
+        singles.push_back(i);
       }
     }
     // Chunk each group into <= batch_lanes lanes (balanced, so a trailing
@@ -116,37 +113,35 @@ std::vector<sim::SimResult> Runner::execute(const Grid& grid,
         begin += size;
       }
     }
-    for (const std::size_t slot : singles) units.push_back(WorkUnit{{slot}, false});
+    for (const std::size_t i : singles) units.push_back(WorkUnit{{i}, false});
   } else {
-    for (std::size_t slot = 0; slot < points.size(); ++slot) {
-      units.push_back(WorkUnit{{slot}, false});
-    }
+    for (std::size_t i = 0; i < rows.size(); ++i) units.push_back(WorkUnit{{i}, false});
   }
 
-  // Units write disjoint slots, so rows are bit-identical at any thread
+  // Units write disjoint rows, so rows are bit-identical at any thread
   // count.
   pooled(units.size(), [&](std::size_t u) {
     const WorkUnit& unit = units[u];
     if (!unit.batch) {
-      const std::size_t slot = unit.slots.front();
-      const Point point = grid.point(points[slot]);
+      const std::size_t i = unit.points.front();
+      const Point point = grid.point(i);
       const std::string key = cache_key(point.spec);
-      if (!options_.batch && replay_warm(key, slot)) return;
+      if (!options_.batch && replay_warm(key, i)) return;
       // The cost recorded is instantiate + run: the point's own wall time.
       const auto start = std::chrono::steady_clock::now();
-      rows[slot] = spec::instantiate(point.spec).run();
+      rows[i] = spec::instantiate(point.spec).run();
       const double micros = micros_since(start);
-      if (!key.empty()) cache->store(key, rows[slot], micros, kProvenanceScalar);
-      record(slot, micros, kProvenanceScalar, kOriginFresh);
+      if (!key.empty()) cache->store(key, rows[i], micros, kProvenanceScalar);
+      record(i, micros, kProvenanceScalar, kOriginFresh);
       return;
     }
     // Instantiate every lane's fresh system, then wire the non-owning lane
     // table (pointers are taken only after the vector stops growing).
     const auto start = std::chrono::steady_clock::now();
     std::vector<core::EnergyDrivenSystem> systems;
-    systems.reserve(unit.slots.size());
-    for (const std::size_t slot : unit.slots) {
-      systems.push_back(spec::instantiate(grid.point(points[slot]).spec));
+    systems.reserve(unit.points.size());
+    for (const std::size_t i : unit.points) {
+      systems.push_back(spec::instantiate(grid.point(i).spec));
     }
     std::vector<sim::BatchLane> lanes;
     lanes.reserve(systems.size());
@@ -157,46 +152,24 @@ std::vector<sim::SimResult> Runner::execute(const Grid& grid,
     }
     std::vector<sim::SimResult> results = sim::BatchKernel(std::move(lanes)).run();
     // Amortized lane cost: the chunk's wall time split evenly — the point's
-    // marginal cost under *batched* re-execution, which is what a batched
-    // shard plan should weigh — with the sub-lane remainder distributed so
-    // the recorded costs sum back to the measured wall time (see
-    // amortize_lane_micros). The provenance contract in sweep/batch.h says
-    // why these must not silently mix with scalar timings.
+    // marginal cost under *batched* re-execution — with the sub-lane
+    // remainder distributed so the recorded costs sum back to the measured
+    // wall time (see amortize_lane_micros). The provenance contract in
+    // sweep/batch.h says why these must not silently mix with scalar
+    // timings.
     const std::vector<double> per_lane =
-        amortize_lane_micros(micros_since(start), unit.slots.size());
-    for (std::size_t k = 0; k < unit.slots.size(); ++k) {
-      const std::size_t slot = unit.slots[k];
+        amortize_lane_micros(micros_since(start), unit.points.size());
+    for (std::size_t k = 0; k < unit.points.size(); ++k) {
+      const std::size_t i = unit.points[k];
       if (cache != nullptr) {
-        const std::string key = cache_key(grid.point(points[slot]).spec);
+        const std::string key = cache_key(grid.point(i).spec);
         if (!key.empty()) cache->store(key, results[k], per_lane[k], kProvenanceBatch);
       }
-      rows[slot] = std::move(results[k]);
-      record(slot, per_lane[k], kProvenanceBatch, kOriginFresh);
+      rows[i] = std::move(results[k]);
+      record(i, per_lane[k], kProvenanceBatch, kOriginFresh);
     }
   });
   return rows;
-}
-
-std::vector<sim::SimResult> Runner::run(const Grid& grid, RunReport* report) const {
-  std::vector<std::size_t> points(grid.size());
-  std::iota(points.begin(), points.end(), std::size_t{0});
-  return execute(grid, points, report);
-}
-
-std::vector<sim::SimResult> Runner::run_shard(const Grid& grid, const Shard& shard,
-                                              RunReport* report) const {
-  std::vector<std::size_t> points(shard.owned_count(grid.size()));
-  for (std::size_t slot = 0; slot < points.size(); ++slot) {
-    points[slot] = shard.index + slot * shard.count;
-  }
-  return execute(grid, points, report);
-}
-
-std::vector<sim::SimResult> Runner::run_assignment(const Grid& grid,
-                                                   const ShardAssignment& assignment,
-                                                   std::size_t shard_index,
-                                                   RunReport* report) const {
-  return execute(grid, assignment.owned.at(shard_index), report);
 }
 
 int Runner::thread_count(std::size_t point_count) const noexcept {
@@ -209,11 +182,6 @@ int Runner::thread_count(std::size_t point_count) const noexcept {
     threads = static_cast<int>(point_count);
   }
   return std::max(threads, 1);
-}
-
-void Runner::for_each_point(const Grid& grid,
-                            const std::function<void(const Point&)>& body) const {
-  pooled(grid.size(), [&grid, &body](std::size_t i) { body(grid.point(i)); });
 }
 
 void Runner::pooled(std::size_t count,

@@ -50,8 +50,8 @@ TEST(Eq4, FixedPointConvergesForImage) {
 
 TEST(Eq5, CrossoverFormula) {
   EXPECT_NEAR(crossover_frequency(3e-3, 2e-3, 11e-6, 1e-6), 100.0, 1e-9);
-  EXPECT_THROW(crossover_frequency(2e-3, 3e-3, 11e-6, 1e-6), std::invalid_argument);
-  EXPECT_THROW(crossover_frequency(3e-3, 2e-3, 1e-6, 11e-6), std::invalid_argument);
+  EXPECT_THROW((void)crossover_frequency(2e-3, 3e-3, 11e-6, 1e-6), std::invalid_argument);
+  EXPECT_THROW((void)crossover_frequency(3e-3, 2e-3, 1e-6, 11e-6), std::invalid_argument);
 }
 
 TEST(Eq5, CrossoverForTypicalImagesIsTensToHundredsOfHz) {

@@ -79,7 +79,7 @@ TEST(Nvm, OverlappingWritesCountTorn) {
 
 TEST(Nvm, SnapshotWithoutCommitThrows) {
   NvmStore nvm;
-  EXPECT_THROW(nvm.snapshot(), std::invalid_argument);
+  EXPECT_THROW((void)nvm.snapshot(), std::invalid_argument);
   EXPECT_THROW(nvm.commit(), std::invalid_argument);
 }
 

@@ -297,8 +297,8 @@ TEST(SweepCache, WallTimeSurvivesTheEntryRoundTrip) {
 
 TEST(SweepCache, RunnerReportsTheOriginalCostOnWarmRuns) {
   // A warm re-run replays each point's *first* simulation cost from the
-  // entry (not the near-zero load time) — the input a cost-weighted shard
-  // assignment of the warm grid needs.
+  // entry (not the near-zero load time), so a warm grid still reports what
+  // each point costs to simulate.
   const auto dir = fresh_cache_dir("warm_micros");
   const sweep::Grid grid = cheap_grid();
 

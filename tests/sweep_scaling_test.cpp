@@ -1,7 +1,8 @@
 // Wall-clock validation of the sweep engine's parallel speedup (ROADMAP:
-// "parallel speedup validation on multi-core hardware") plus a 2-shard
-// merge smoke test, labelled `multicore` in CMake so CI can run exactly
-// this file on a multi-core runner (ctest -L multicore).
+// "parallel speedup validation on multi-core hardware"), labelled
+// `multicore` in CMake so CI can run exactly this file on a multi-core
+// runner (ctest -L multicore), and RUN_SERIAL so no other test shares its
+// cores while it measures.
 //
 // The speedup test self-skips below 4 cores (the 1-core dev container
 // cannot show wall-clock scaling; bit-identity is covered by
@@ -13,13 +14,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "edc/sim/result_io.h"
 #include "edc/sweep/grid.h"
-#include "edc/sweep/report.h"
 #include "edc/sweep/runner.h"
 
 namespace {
@@ -104,32 +103,6 @@ TEST(SweepScaling, ParallelSpeedupOnMultiCoreHardware) {
     EXPECT_EQ(sim::serialize_result(serial_rows[i]),
               sim::serialize_result(parallel_rows[i]));
   }
-}
-
-TEST(SweepScaling, TwoShardMergeSmoke) {
-  // Runs everywhere (no core gate): the in-process half of the CI shard
-  // smoke; the subprocess half goes through the benches and sweep_merge
-  // (scripts/shard_merge_smoke.cmake).
-  spec::SystemSpec s = busy_spec();
-  s.sim.t_end = 0.1;
-  sweep::Grid grid(s);
-  grid.capacitance_axis({22e-6, 33e-6, 47e-6})
-      .workload_seed_axis({1, 2});
-
-  const sweep::Runner runner;
-  std::ostringstream serial;
-  sweep::write_csv(serial, grid, runner.run(grid));
-
-  std::vector<std::string> shard_texts;
-  for (std::size_t k = 0; k < 2; ++k) {
-    const sweep::Shard shard{k, 2};
-    std::ostringstream out;
-    sweep::write_shard_csv(out, grid, shard, runner.run_shard(grid, shard));
-    shard_texts.push_back(out.str());
-  }
-  std::ostringstream merged;
-  sweep::merge_shard_csvs(shard_texts, merged);
-  EXPECT_EQ(merged.str(), serial.str());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // CSV trace loaders for the spec layer: measured-dataset waveforms become
 // VoltageTraceSource/PowerTraceSource values that sweep, serialize, hash
-// and therefore cache/shard exactly like synthetic sources.
+// and therefore cache exactly like synthetic sources.
 #include <gtest/gtest.h>
 
 #include <filesystem>

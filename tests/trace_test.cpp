@@ -118,7 +118,7 @@ TEST(Waveform, MapTransforms) {
 TEST(Waveform, EmptyThrows) {
   Waveform wave;
   EXPECT_TRUE(wave.empty());
-  EXPECT_THROW(wave.at(0.0), std::invalid_argument);
+  EXPECT_THROW((void)wave.at(0.0), std::invalid_argument);
   EXPECT_THROW(wave.min(), std::invalid_argument);
 }
 

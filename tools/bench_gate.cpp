@@ -41,7 +41,7 @@
 // regresses turns the CI job red instead of merely shrinking a number in
 // an archived artifact. The same applies to a search that quietly starts
 // probing half the grid. Multiple JSON files merge their entries (later
-// files win), which lets a sharded benchmark run feed one gate invocation;
+// files win), which lets several benchmark runs feed one gate invocation;
 // multiple telemetry CSVs merge the same way (later rows win per name).
 //
 // The parser is deliberately minimal: it scans for the "name",
