@@ -3,12 +3,6 @@
 # classes — gates that hold (exit 0), a gate the recorded ratio misses
 # (exit 1), and a gate naming a pair the file does not carry (exit 1).
 #
-# The probe-count gates (--points-csv/--points-gate) are smoked the same
-# way against the committed search telemetry fixture: a cold-budget gate
-# that holds, the zero-point warm gate, a budget the recorded count
-# exceeds, a search the file does not carry, and a negative budget (a
-# usage error, exit 2, rather than a gate at 2^64 - 1 that never fails).
-#
 # The step-mix ceilings (--steps-gate) read the fixture's Fig8WindSurvey
 # macro counters (141371 fine steps, 27697 spans): ceilings at the counts
 # pass, a count one above its ceiling fails (fine steps and spans each),
@@ -16,11 +10,10 @@
 # emitted them) fails, and a signed ceiling is a usage error (exit 2).
 #
 # Invoked as:
-#   cmake -DGATE=<bench_gate> -DFIXTURE=<bench_gate_sample.json>
-#         -DPOINTS_FIXTURE=<search_points_sample.csv> -P this_file
+#   cmake -DGATE=<bench_gate> -DFIXTURE=<bench_gate_sample.json> -P this_file
 
-if(NOT GATE OR NOT FIXTURE OR NOT POINTS_FIXTURE)
-  message(FATAL_ERROR "usage: cmake -DGATE=... -DFIXTURE=... -DPOINTS_FIXTURE=... -P bench_gate_smoke.cmake")
+if(NOT GATE OR NOT FIXTURE)
+  message(FATAL_ERROR "usage: cmake -DGATE=... -DFIXTURE=... -P bench_gate_smoke.cmake")
 endif()
 
 # 1. All recorded pairs clear their gates (60x and ~4.3x macro, 4x batch in
@@ -79,50 +72,7 @@ if(batch_missing_result EQUAL 0)
           "expected --batch-gate on a macro-only pair to fail:\n${batch_missing_out}")
 endif()
 
-# 5. Probe-count gates: the recorded cold search (16 simulated points)
-# clears its budget, the warm rerun clears the zero-point gate — both in
-# one invocation, alongside a ratio gate (mixed gate families must
-# compose).
-execute_process(
-  COMMAND ${GATE} ${FIXTURE} --gate BrownoutTail=8
-          --points-csv ${POINTS_FIXTURE}
-          --points-gate Eq5Solve=24 --points-gate Eq5SolveWarm=0
-  RESULT_VARIABLE points_pass_result OUTPUT_VARIABLE points_pass_out)
-if(NOT points_pass_result EQUAL 0)
-  message(FATAL_ERROR "expected points gates to pass, got exit ${points_pass_result}:\n${points_pass_out}")
-endif()
-if(NOT points_pass_out MATCHES "\\[PASS\\] Eq5SolveWarm")
-  message(FATAL_ERROR "missing PASS verdict for Eq5SolveWarm:\n${points_pass_out}")
-endif()
-
-# 6. A budget the recorded count exceeds must fail loudly, and a search the
-# telemetry file does not carry must fail, not silently pass.
-execute_process(
-  COMMAND ${GATE} --points-csv ${POINTS_FIXTURE} --points-gate Eq5Solve=5
-  RESULT_VARIABLE points_fail_result OUTPUT_VARIABLE points_fail_out)
-if(points_fail_result EQUAL 0)
-  message(FATAL_ERROR "expected the 5-point budget to fail:\n${points_fail_out}")
-endif()
-if(NOT points_fail_out MATCHES "\\[FAIL\\] Eq5Solve")
-  message(FATAL_ERROR "missing FAIL verdict for Eq5Solve:\n${points_fail_out}")
-endif()
-execute_process(
-  COMMAND ${GATE} --points-csv ${POINTS_FIXTURE} --points-gate NoSuchSearch=10
-  RESULT_VARIABLE points_missing_result OUTPUT_VARIABLE points_missing_out)
-if(points_missing_result EQUAL 0)
-  message(FATAL_ERROR "expected the missing search to fail:\n${points_missing_out}")
-endif()
-
-# 7. A negative budget is a usage error (exit 2), never a wrapped count.
-execute_process(
-  COMMAND ${GATE} --points-csv ${POINTS_FIXTURE} --points-gate Eq5Solve=-1
-  RESULT_VARIABLE points_negative_result OUTPUT_VARIABLE points_negative_out
-  ERROR_VARIABLE points_negative_err)
-if(NOT points_negative_result EQUAL 2)
-  message(FATAL_ERROR "expected --points-gate Eq5Solve=-1 to exit 2, got ${points_negative_result}:\n${points_negative_out}${points_negative_err}")
-endif()
-
-# 8. Step-mix ceilings: exact counts, so the gate holds at the recorded
+# 5. Step-mix ceilings: exact counts, so the gate holds at the recorded
 # counts and fails one step (or one span) past them.
 execute_process(
   COMMAND ${GATE} ${FIXTURE} --steps-gate Fig8WindSurvey=141371,27697
@@ -139,7 +89,7 @@ foreach(ceilings "141370,27697" "141371,27696")
   endif()
 endforeach()
 
-# 9. An entry without step-mix counters fails, not silently passes.
+# 6. An entry without step-mix counters fails, not silently passes.
 execute_process(
   COMMAND ${GATE} ${FIXTURE} --steps-gate BrownoutTail=2062,16
   RESULT_VARIABLE steps_missing_result OUTPUT_VARIABLE steps_missing_out)
@@ -147,7 +97,7 @@ if(NOT steps_missing_result EQUAL 1 OR NOT steps_missing_out MATCHES "missing fi
   message(FATAL_ERROR "expected --steps-gate on an entry without counters to fail, got exit ${steps_missing_result}:\n${steps_missing_out}")
 endif()
 
-# 10. A signed ceiling is a usage error (exit 2), never a wrapped count.
+# 7. A signed ceiling is a usage error (exit 2), never a wrapped count.
 execute_process(
   COMMAND ${GATE} ${FIXTURE} --steps-gate Fig8WindSurvey=-1,27697
   RESULT_VARIABLE steps_negative_result OUTPUT_VARIABLE steps_negative_out

@@ -182,40 +182,9 @@ SystemBuilder& SystemBuilder::policy_adaptive_buffer(
 
 SystemBuilder& SystemBuilder::policy(std::unique_ptr<checkpoint::PolicyBase> policy) {
   EDC_CHECK(policy != nullptr, "policy must not be null");
-  // The instance is shared across builds through a forwarding shim, so a
-  // caller-held pointer keeps observing the policy driven by the system.
-  auto shared = std::shared_ptr<checkpoint::PolicyBase>(std::move(policy));
   spec_.policy = spec::CustomPolicy{
-      [shared](const std::function<Farads()>&,
-               Farads) -> std::unique_ptr<checkpoint::PolicyBase> {
-        struct Shim final : checkpoint::PolicyBase {
-          std::shared_ptr<checkpoint::PolicyBase> inner;
-          void attach(mcu::Mcu& m) override { inner->attach(m); }
-          void on_boot(mcu::Mcu& m, Seconds t) override { inner->on_boot(m, t); }
-          void on_comparator(mcu::Mcu& m, const circuit::ComparatorEvent& e) override {
-            inner->on_comparator(m, e);
-          }
-          void on_boundary(mcu::Mcu& m, workloads::Boundary b, Seconds t) override {
-            inner->on_boundary(m, b, t);
-          }
-          void on_save_complete(mcu::Mcu& m, Seconds t) override {
-            inner->on_save_complete(m, t);
-          }
-          void on_restore_complete(mcu::Mcu& m, Seconds t) override {
-            inner->on_restore_complete(m, t);
-          }
-          void on_power_loss(mcu::Mcu& m, Seconds t) override {
-            inner->on_power_loss(m, t);
-          }
-          void on_workload_complete(mcu::Mcu& m, Seconds t) override {
-            inner->on_workload_complete(m, t);
-          }
-          [[nodiscard]] std::string name() const override { return inner->name(); }
-        };
-        auto shim = std::make_unique<Shim>();
-        shim->inner = shared;
-        return shim;
-      }};
+      [make = one_shot_factory(std::move(policy))](const std::function<Farads()>&,
+                                                   Farads) { return make(); }};
   return *this;
 }
 

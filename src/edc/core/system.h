@@ -144,11 +144,10 @@ class SystemBuilder {
   SystemBuilder& policy_burst(taskmodel::BurstTaskPolicy::Config config = {});
   SystemBuilder& policy_adaptive_buffer(
       taskmodel::AdaptiveBufferPolicy::Config config = {});
-  /// Custom policy instance (its attach() configures the MCU). The instance
-  /// is shared across builds of this builder, matching the historical
-  /// behaviour — so a spec taken from to_spec() after this call must NOT be
-  /// instantiated concurrently (every system would drive the one shared,
-  /// unsynchronised policy). For sweeps use spec::CustomPolicy with a
+  /// Custom policy instance (its attach() configures the MCU; one-shot,
+  /// like program()). The built system owns and drives this very instance,
+  /// so a pointer the caller kept stays valid for the system's lifetime; a
+  /// second build() throws. For sweeps use spec::CustomPolicy with a
   /// factory that returns a fresh policy per call.
   SystemBuilder& policy(std::unique_ptr<checkpoint::PolicyBase> policy);
 

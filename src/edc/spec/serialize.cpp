@@ -1,7 +1,5 @@
 #include "edc/spec/serialize.h"
 
-#include <cstddef>
-#include <stdexcept>
 #include <string>
 
 namespace edc::spec {
@@ -24,7 +22,6 @@ constexpr const char* kSources[] = {
 constexpr const char* kPolicies[] = {
     "hibernus", "none", "hibernus_pp", "quickrecall", "nvp", "mementos", "burst",
     "adaptive_buffer", nullptr};
-constexpr const char* kCouplings[] = {"none", "shared_rf"};
 
 // ---- source ---------------------------------------------------------------
 
@@ -93,8 +90,7 @@ void walk(auto& io, Record<MarkovPower> auto& s) {
   io("horizon", s.horizon);
 }
 
-/// The RF field block shared by rf_field, coupled_rf and the fleet's
-/// shared_rf coupling.
+/// The RF field block shared by rf_field and coupled_rf.
 void walk(auto& io, Record<trace::RfFieldSource::Params> auto& p) {
   io("field_power", p.field_power);
   io("burst_length", p.burst_length);
@@ -193,7 +189,7 @@ void walk(auto& io, Record<AdaptiveBuffer> auto& p) {
   io("max_buffer", p.config.max_buffer);
 }
 
-// ---- spec body (shared by the SystemSpec and FleetSpec containers) --------
+// ---- spec body ------------------------------------------------------------
 
 void walk(auto& io, Record<SystemSpec> auto& spec) {
   io.variant("source", spec.source, kSources, [&](auto& s) { walk(io, s); });
@@ -259,35 +255,6 @@ void walk(auto& io, Record<SystemSpec> auto& spec) {
     io("macro_stepping", spec.sim.macro_stepping);
     io("macro_v_tol", spec.sim.macro_v_tol);
   });
-}
-
-// ---- fleet ----------------------------------------------------------------
-
-void walk(auto& io, Record<SharedRfCoupling> auto& rf) {
-  walk(io, rf.field);
-  io("seed", rf.seed);
-  io("horizon", rf.horizon);
-  io("window_period", rf.window_period);
-  io("window_duty", rf.window_duty);
-  io("gains", rf.gains);
-  io("phases", rf.phases);
-}
-
-void walk(auto& io, Record<FleetSpec> auto& fleet) {
-  io.list(
-      "nodes",
-      [&](std::size_t i, auto& node) {
-        std::size_t index = i;
-        io.section("node", index, [&] {
-          if (index != i) {
-            throw SpecFormatError("fleet node blocks out of order: expected node " +
-                                  std::to_string(i));
-          }
-          walk(io, node);
-        });
-      },
-      fleet.nodes);
-  io.variant("coupling", fleet.coupling, kCouplings, [&](auto& c) { walk(io, c); });
 }
 
 }  // namespace
@@ -357,51 +324,5 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
 }
 
 std::uint64_t spec_hash(const SystemSpec& spec) { return fnv1a64(serialize(spec)); }
-
-// ---- fleets ----------------------------------------------------------------
-
-std::string non_cacheable_reason(const FleetSpec& fleet) {
-  for (std::size_t i = 0; i < fleet.nodes.size(); ++i) {
-    const std::string reason = non_cacheable_reason(fleet.nodes[i]);
-    if (!reason.empty()) {
-      return "node " + std::to_string(i) + ": " + reason;
-    }
-  }
-  return {};
-}
-
-bool is_cacheable(const FleetSpec& fleet) {
-  return non_cacheable_reason(fleet).empty();
-}
-
-std::string serialize_fleet(const FleetSpec& fleet) {
-  validate_fleet(fleet);
-  const std::string reason = non_cacheable_reason(fleet);
-  if (!reason.empty()) {
-    throw SpecFormatError("fleet is not serializable — " + reason);
-  }
-
-  canon::Writer w(canon::TraceForm::digest);
-  w.document("edc.FleetSpec", kSpecFormatVersion, [&] { walk(w, fleet); });
-  return w.take();
-}
-
-FleetSpec parse_fleet(const std::string& text) {
-  canon::Reader r(text);
-  FleetSpec fleet;
-  r.document("edc.FleetSpec", kSpecFormatVersion, [&] { walk(r, fleet); });
-  // A parser reports every malformed input as a format error, including
-  // text that is well-formed but describes an invalid fleet.
-  try {
-    validate_fleet(fleet);
-  } catch (const std::invalid_argument& error) {
-    throw SpecFormatError(std::string("invalid fleet: ") + error.what());
-  }
-  return fleet;
-}
-
-std::uint64_t fleet_hash(const FleetSpec& fleet) {
-  return fnv1a64(serialize_fleet(fleet));
-}
 
 }  // namespace edc::spec

@@ -5,8 +5,7 @@
 //                 is `t0`, `dt`, `count <n>` and `sha256 <64 hex>`
 //                 (trace::Waveform::digest), so a key stays ~1-2 KB however
 //                 long the trace. Every content address uses it: cache
-//                 keys, spec_hash, serialize_fleet/fleet_hash and
-//                 sweep::batch_group_key.
+//                 keys, spec_hash and sweep::batch_group_key.
 //   document(s)   the document form: the wave is `t0`, `dt`, `samples <n>`
 //                 and one line per sample, a self-contained text people and
 //                 files exchange (design_query --spec / --print-spec).
@@ -45,7 +44,6 @@
 #include <string_view>
 
 #include "edc/common/canon.h"
-#include "edc/spec/fleet_spec.h"
 #include "edc/spec/system_spec.h"
 
 namespace edc::spec {
@@ -72,11 +70,12 @@ namespace edc::spec {
 // constant-window-only planning.
 // v6: the fleet API (PR 10). Two new serializable variants — the
 // coupled_rf source (spec::CoupledRfPower, the FleetSpec lowering target)
-// and the adaptive_buffer policy (spec::AdaptiveBuffer) — plus the
-// edc.FleetSpec container format below. Existing specs' byte streams are
-// unchanged, but the tag vocabulary widened, so the bump keeps old caches
-// from holding entries a newer reader would accept and an older reader
-// would reject.
+// and the adaptive_buffer policy (spec::AdaptiveBuffer) — plus an
+// edc.FleetSpec container format, since deleted: a fleet's cache keys are
+// its lowered node specs (sweep/fleet.h), so no fleet text is ever keyed.
+// Existing specs' byte streams are unchanged, but the tag vocabulary
+// widened, so the bump keeps old caches from holding entries a newer
+// reader would accept and an older reader would reject.
 // v7: SimConfig lost charge_spans and ramp_spans. One span planner over
 // one closed form (circuit::AffineSolution) now plans every certificate
 // kind, so there is nothing left to switch off; the fields leave the byte
@@ -119,33 +118,5 @@ using SpecFormatError = canon::FormatError;
 /// across runs, platforms and processes for a given format version
 /// (golden-hash tested in tests/spec_serial_test.cpp).
 [[nodiscard]] std::uint64_t spec_hash(const SystemSpec& spec);
-
-// ---- fleets ----------------------------------------------------------------
-// The FleetSpec container shares the version, the strictness contract and
-// the node-body byte format with single-node specs: each node is emitted
-// with exactly the serialize() field stream (the key form), wrapped in
-// "node i" blocks, followed by the coupling block. For a fleet without a
-// trace node serialize_fleet(parse_fleet(text)) is byte-identical, and
-// fleet_hash is the content address sweep-level fleet tooling reports
-// (per-node cache keys remain the *lowered* node specs' spec_hashes — see
-// sweep/fleet.h).
-
-/// Empty string when every node of the fleet is canonically serializable;
-/// otherwise names the first offending node and its opaque-callback field.
-[[nodiscard]] std::string non_cacheable_reason(const FleetSpec& fleet);
-
-/// True when serialize_fleet() would succeed.
-[[nodiscard]] bool is_cacheable(const FleetSpec& fleet);
-
-/// Canonical byte string of the fleet (validates it first). Throws
-/// SpecFormatError when !is_cacheable(fleet).
-[[nodiscard]] std::string serialize_fleet(const FleetSpec& fleet);
-
-/// Inverse of serialize_fleet() for fleets without trace nodes. Strict,
-/// like parse_spec().
-[[nodiscard]] FleetSpec parse_fleet(const std::string& text);
-
-/// fnv1a64(serialize_fleet(fleet)); throws when !is_cacheable(fleet).
-[[nodiscard]] std::uint64_t fleet_hash(const FleetSpec& fleet);
 
 }  // namespace edc::spec

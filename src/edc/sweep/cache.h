@@ -82,8 +82,8 @@ struct CachedPoint {
   /// bit-identical by contract, but timing consumers need the distinction
   /// because batch wall times are amortized over a lane group —
   /// warm hits replay the original provenance so a re-run cannot silently
-  /// relabel its timings. Entries written before the field default to 's'
-  /// (the batch path did not exist then).
+  /// relabel its timings. Every entry carries the field: decode rejects
+  /// an entry without it.
   char provenance = 's';
 };
 

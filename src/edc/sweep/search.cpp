@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -198,14 +197,12 @@ SearchOutcome Search::bracket_on(const std::vector<double>& lattice) {
     verify_trail();
   }
 
-  if (options_.verify_neighbors) {
-    // Certify the cell against its immediate neighbours: a locally noisy
-    // flip adjacent to the found cell now lands in the probe trail, where
-    // the single-flip invariant catches it.
-    if (lo > 0) touch(lattice[lo - 1]);
-    if (hi + 1 < lattice.size()) touch(lattice[hi + 1]);
-    verify_trail();
-  }
+  // Certify the cell against its immediate neighbours: a locally noisy
+  // flip adjacent to the found cell now lands in the probe trail, where
+  // the single-flip invariant catches it.
+  if (lo > 0) touch(lattice[lo - 1]);
+  if (hi + 1 < lattice.size()) touch(lattice[hi + 1]);
+  verify_trail();
 
   SearchOutcome outcome;
   outcome.lo = lattice[lo];
@@ -302,27 +299,6 @@ void Search::fail(SearchErrorKind kind, const std::string& detail) const {
     }
   }
   throw SearchError(kind, message.str());
-}
-
-void append_search_telemetry(const std::string& path, const std::string& name,
-                             const Search& search, std::size_t grid_points) {
-  bool need_header = true;
-  {
-    std::ifstream probe_file(path);
-    if (probe_file.good() && probe_file.peek() != std::ifstream::traits_type::eof()) {
-      need_header = false;
-    }
-  }
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    throw std::runtime_error("cannot open search telemetry file: " + path);
-  }
-  if (need_header) out << "name,probes,simulated,warm,grid_points\n";
-  out << name << ',' << search.probes().size() << ',' << search.simulated_points()
-      << ',' << search.warm_points() << ',' << grid_points << '\n';
-  if (!out) {
-    throw std::runtime_error("failed writing search telemetry file: " + path);
-  }
 }
 
 }  // namespace edc::sweep

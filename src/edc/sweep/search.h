@@ -28,9 +28,9 @@
 // bit-identical to the row the dense grid would have produced at the same
 // spec, every probe is memoised on disk (a warm rerun of the same query
 // contracts with ZERO simulations), and per-probe wall times land in the
-// same cache entries / timing CSVs as dense-sweep points. Per-probe
-// fresh/warm accounting (Runner's origin codes) feeds the search-telemetry
-// CSV that tools/bench_gate --points-gate asserts in CI.
+// same cache entries as dense-sweep points. Each probe counts its fresh
+// and warm rows (Runner's origin codes); tools/design_query prints the
+// totals as its "simulated N of M dense-equivalent points" line.
 //
 // Searches can carry a *variant* axis on top of the search axis: the Eq 5
 // crossover probes both policies at each candidate frequency and the
@@ -143,9 +143,6 @@ struct SearchOptions {
   /// A declared direction turns a reversed-sign objective into a loud
   /// kReversed error instead of a silently mirrored answer.
   int direction = 0;
-  /// Lattice searches probe the found cell's immediate neighbours and
-  /// re-verify the single-flip invariant (two extra probes, O(1)).
-  bool verify_neighbors = true;
 };
 
 struct SearchOutcome {
@@ -198,8 +195,8 @@ class Search {
 
   /// Discrete bisection over an ordered lattice of axis values: locates
   /// the adjacent pair (cell) where the objective's sign flips, probing
-  /// O(log n) lattice points, then (options.verify_neighbors) certifies
-  /// the cell against its neighbours. The lattice must be strictly
+  /// O(log n) lattice points, then certifies the cell against its
+  /// neighbours (two extra probes). The lattice must be strictly
   /// increasing with >= 2 values. This is the dense-grid replacement: the
   /// returned cell is provably the dense sweep's crossover cell as long as
   /// the objective is sign-monotone across the lattice — and a violation
@@ -248,21 +245,5 @@ class Search {
   std::vector<SearchProbe> probes_;          // probe order
   std::map<double, std::size_t> probe_at_;   // x -> index into probes_
 };
-
-// ---- telemetry ------------------------------------------------------------
-
-/// Appends one row of search telemetry to `path` (writing the header when
-/// the file is new/empty):
-///
-///   name,probes,simulated,warm,grid_points
-///
-/// `grid_points` is the number of points the equivalent dense grid would
-/// have simulated (lattice size x variants, or the tolerance-resolution
-/// cell count for continuous queries) — the denominator of the O(log) /
-/// O(grid) claim. tools/bench_gate --points-csv reads this format and
-/// --points-gate asserts `simulated` per named search in CI.
-/// Throws std::runtime_error on I/O failure.
-void append_search_telemetry(const std::string& path, const std::string& name,
-                             const Search& search, std::size_t grid_points);
 
 }  // namespace edc::sweep

@@ -1,8 +1,13 @@
 // Tests for the taxonomy engine and the system-builder facade (edc/core).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
+#include "edc/checkpoint/interrupt_policy.h"
 #include "edc/core/system.h"
 #include "edc/core/taxonomy.h"
+#include "edc/sim/result_io.h"
 
 namespace edc::core {
 namespace {
@@ -161,6 +166,33 @@ TEST(Builder, CustomProgramAndPolicy) {
   EXPECT_TRUE(result.mcu.completed);
   EXPECT_EQ(policy_ptr->boots, 1);
   EXPECT_EQ(system.policy_name(), "counting");
+}
+
+// A policy instance runs exactly like the spec variant that names it. The
+// quiescent engine plans sleep, wait and done spans only for a policy whose
+// wakes_only_by_comparator() says so, so a policy() that hid that hook would
+// fine-step those spans and move the row (Fig 7 configuration, macro on).
+TEST(Builder, PolicyInstanceRunsLikeItsSpecVariant) {
+  checkpoint::InterruptPolicy::Config config;
+  config.capacitance = 47e-6;  // an instance cannot read it off the node
+  config.margin = 2.2;
+  config.restore_headroom = 0.35;
+  sim::SimConfig sim;
+  sim.macro_stepping = true;
+  sim.stop_on_completion = false;
+  const auto fig7 = [&] {
+    SystemBuilder builder;
+    builder.sine_source(3.3, 6.0).capacitance(config.capacitance).bleed(3000.0)
+        .workload("fft", 7).sim_config(sim);
+    return builder;
+  };
+  SystemBuilder by_instance = fig7();
+  by_instance.policy(std::make_unique<checkpoint::HibernusPolicy>(config));
+  auto system = by_instance.build();
+  EXPECT_EQ(sim::serialize_result(system.run(2.0)),
+            sim::serialize_result(fig7().policy_hibernus(config).build().run(2.0)));
+  // The system owns the one instance, so it cannot be built twice.
+  EXPECT_THROW((void)by_instance.build(), std::invalid_argument);
 }
 
 TEST(Builder, HibernusDefaultsToNodeCapacitance) {

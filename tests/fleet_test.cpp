@@ -14,8 +14,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <functional>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -186,55 +184,6 @@ TEST(FleetLowering, UncoupledLoweringIsTheIdentity) {
   FleetSpec fleet;
   fleet.nodes = {node};
   EXPECT_EQ(serialize(fleet_node_spec(fleet, 0)), serialize(node));
-}
-
-// ------------------------------------------- fleet spec serialization -----
-
-TEST(FleetSerial, RoundTripIsByteIdentical) {
-  const FleetSpec fleet = example_rf_fleet(3);
-  const std::string text = serialize_fleet(fleet);
-  const FleetSpec reparsed = parse_fleet(text);
-  EXPECT_EQ(serialize_fleet(reparsed), text);
-  EXPECT_EQ(fleet_hash(reparsed), fleet_hash(fleet));
-
-  // An uncoupled heterogeneous fleet round-trips too.
-  SystemSpec a, b;
-  a.source = SineSource{3.3, 5.0, 0.0, 50.0};
-  a.workload.kind = "crc";
-  b.source = ConstantPower{2e-3};
-  b.workload.kind = "sense";
-  b.storage.capacitance = 47e-6;
-  FleetSpec plain;
-  plain.nodes = {a, b};
-  const std::string plain_text = serialize_fleet(plain);
-  EXPECT_EQ(serialize_fleet(parse_fleet(plain_text)), plain_text);
-  EXPECT_NE(fleet_hash(plain), fleet_hash(fleet));
-}
-
-TEST(FleetSerial, StrictParserFailsLoudly) {
-  const std::string text = serialize_fleet(example_rf_fleet(2));
-  EXPECT_THROW(parse_fleet(text + "trailing"), SpecFormatError);
-  EXPECT_THROW(parse_fleet(text.substr(0, text.size() / 2)), SpecFormatError);
-  std::string tampered = text;
-  tampered.replace(tampered.find("shared_rf"), 9, "sharedorf");
-  EXPECT_THROW(parse_fleet(tampered), SpecFormatError);
-  EXPECT_THROW(parse_fleet("edc.OtherThing v6\n"), SpecFormatError);
-}
-
-TEST(FleetSerial, OpaqueNodesAreNonCacheableWithNodeIndex) {
-  FleetSpec fleet;
-  SystemSpec plain;
-  plain.source = SineSource{3.3, 5.0, 0.0, 50.0};
-  SystemSpec opaque = plain;
-  opaque.policy = CustomPolicy{[](const std::function<Farads()>&, Farads) {
-    return std::unique_ptr<checkpoint::PolicyBase>();
-  }};
-  fleet.nodes = {plain, opaque};
-  EXPECT_FALSE(is_cacheable(fleet));
-  const std::string reason = non_cacheable_reason(fleet);
-  EXPECT_NE(reason.find("node 1"), std::string::npos) << reason;
-  EXPECT_THROW(serialize_fleet(fleet), SpecFormatError);
-  EXPECT_TRUE(is_cacheable(example_rf_fleet(2)));
 }
 
 // --------------------------------- N=1 bit-identity vs the scalar path -----

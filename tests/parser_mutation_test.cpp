@@ -1,5 +1,5 @@
 // Seeded mutation suite for the canonical parsers: spec::parse_spec,
-// spec::parse_fleet, sim::parse_result and the sweep cache's entry decode
+// sim::parse_result and the sweep cache's entry decode
 // (Cache::fsck_entry + Cache::load on a planted entry). Every mutant of a
 // canonical seed text must either be rejected with canon::FormatError, or
 // be accepted with a canonical re-serialization c that is a fixed point:
@@ -142,11 +142,11 @@ struct Codec {
 std::vector<Codec> codecs(const std::shared_ptr<const CacheFixture>& fixture) {
   return {
       {"parse_spec",
-       {spec::document(cheap_spec()), spec::document(traced_governed_spec())},
+       // The fleet node carries the RF field block (a coupled_rf source)
+       // and the adaptive_buffer policy.
+       {spec::document(cheap_spec()), spec::document(traced_governed_spec()),
+        spec::document(spec::fleet_node_spec(spec::example_rf_fleet(2), 1))},
        [](const std::string& x) { return spec::document(spec::parse_spec(x)); }},
-      {"parse_fleet",
-       {spec::serialize_fleet(spec::example_rf_fleet(2))},
-       [](const std::string& x) { return spec::serialize_fleet(spec::parse_fleet(x)); }},
       {"parse_result",
        {fixture->row},
        [](const std::string& x) { return sim::serialize_result(sim::parse_result(x)); }},
@@ -209,8 +209,7 @@ std::string mutate(std::string out, const std::vector<std::string>& corpus,
 std::vector<std::string> huge_count_mutants(const std::string& text,
                                             const std::string& value = kMaxU64) {
   static const std::vector<std::string_view> kCountKeys = {
-      "samples", "frequencies", "nodes",      "gains",      "phases",
-      "transitions", "probes", "node_bytes", "spec_bytes", "result_bytes"};
+      "samples", "frequencies", "transitions", "probes", "spec_bytes", "result_bytes"};
   std::vector<std::string> mutants;
   for (std::size_t line = 0; line < text.size();) {
     const std::size_t end = std::min(text.find('\n', line), text.size());

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <utility>
@@ -366,14 +365,6 @@ TEST_F(SearchTest, NeighborVerificationCatchesNoisyFlip) {
   } catch (const sweep::SearchError& error) {
     EXPECT_EQ(error.kind(), sweep::SearchErrorKind::kNonMonotone);
   }
-
-  // Without the neighbour pass the same search silently converges — the
-  // two extra probes are exactly what buys the loud failure.
-  sweep::SearchOptions options;
-  options.verify_neighbors = false;
-  sweep::Search unverified(tiny_spec(), bleed_axis(), from_x(&noisy_flip),
-                           options);
-  EXPECT_NO_THROW(unverified.bracket_on(lattice));
 }
 
 TEST_F(SearchTest, ExhaustedBudgetThrows) {
@@ -398,32 +389,6 @@ TEST_F(SearchTest, RejectsMalformedLattices) {
   EXPECT_THROW(search.bracket_on({1.0, 1.0}), std::invalid_argument);
   EXPECT_THROW(search.contract(5.0, 5.0, 0.1), std::invalid_argument);
   EXPECT_THROW(search.contract(1.0, 5.0, 0.0), std::invalid_argument);
-}
-
-// ---- telemetry -------------------------------------------------------------
-
-TEST_F(SearchTest, TelemetryAppendsHeaderOnceAndRows) {
-  sweep::Search search(tiny_spec(), bleed_axis(),
-                       from_x(+[](double x) { return 50.0 - x; }));
-  search.bracket_on({1, 2, 4, 8, 16, 32, 64, 128});
-
-  const std::string path = (dir_ / "search.csv").string();
-  sweep::append_search_telemetry(path, "UnitCold", search, 128);
-  sweep::append_search_telemetry(path, "UnitAgain", search, 128);
-
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "name,probes,simulated,warm,grid_points");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line.rfind("UnitCold,", 0), 0u);
-  const std::string expected =
-      "UnitCold," + std::to_string(search.probes().size()) + "," +
-      std::to_string(search.simulated_points()) + ",0,128";
-  EXPECT_EQ(line, expected);
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line.rfind("UnitAgain,", 0), 0u);
-  EXPECT_FALSE(std::getline(in, line));
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 
 #include "edc/checkpoint/null_policy.h"
 #include "edc/sim/result_io.h"
-#include "edc/spec/fleet_spec.h"
 #include "edc/spec/serialize.h"
 #include "edc/spec/system_spec.h"
 #include "edc/sweep/cache.h"
@@ -249,31 +248,6 @@ std::vector<NamedSpec> covering_specs() {
   }
 
   return specs;
-}
-
-// Fleet counterparts: hashes pinned in tests/golden/fleet_hashes.txt under
-// the same versioning contract (the fleet container shares
-// kSpecFormatVersion with the node body).
-struct NamedFleet {
-  std::string name;
-  spec::FleetSpec fleet;
-};
-
-std::vector<NamedFleet> covering_fleets() {
-  std::vector<NamedFleet> fleets;
-  fleets.push_back({"rf-fleet-1", spec::example_rf_fleet(1)});
-  fleets.push_back({"rf-fleet-3", spec::example_rf_fleet(3)});
-  {
-    NamedFleet n{"uncoupled-pair", {}};
-    spec::SystemSpec a = base_spec();
-    a.source = spec::SineSource{3.3, 4.5, 0.25, 51.0};
-    spec::SystemSpec b = base_spec();
-    b.source = spec::ConstantPower{2.5e-3};
-    b.storage.capacitance = 47e-6;
-    n.fleet.nodes = {a, b};
-    fleets.push_back(std::move(n));
-  }
-  return fleets;
 }
 
 // Result-side pins: a hand-built SimResult that sets every field (no
@@ -615,15 +589,6 @@ const std::vector<GoldenFile>& golden_registry() {
          }
          return entries;
        }},
-      {"fleet_hashes.txt", "covering FleetSpecs (spec::fleet_hash)", spec_format(),
-       "spec::kSpecFormatVersion",
-       [] {
-         std::map<std::string, std::string> entries;
-         for (const NamedFleet& named : covering_fleets()) {
-           entries[named.name] = hash_hex(spec::fleet_hash(named.fleet));
-         }
-         return entries;
-       }},
       {"result_hashes.txt",
        "hand-built pinned_result() row and cache entry",
        "result format v" + std::to_string(sim::kResultFormatVersion) +
@@ -710,28 +675,6 @@ TEST(SpecSerial, GoldenHashesAreStableAcrossRuns) {
          }() << " — if the format change is intentional, bump the version "
                 "constant each stale file's header names and regenerate ALL "
                 "golden files in one pass with EDC_UPDATE_GOLDEN=1";
-}
-
-// ------------------------------------------------- fleet hash coverage -----
-
-TEST(SpecSerial, FleetCoveringSpecsRoundTripAndHashDistinctly) {
-  std::map<std::uint64_t, std::string> seen;
-  for (const NamedFleet& named : covering_fleets()) {
-    SCOPED_TRACE(named.name);
-    const std::string text = spec::serialize_fleet(named.fleet);
-    EXPECT_EQ(spec::serialize_fleet(spec::parse_fleet(text)), text);
-    const std::uint64_t hash = spec::fleet_hash(named.fleet);
-    const auto [it, inserted] = seen.emplace(hash, named.name);
-    EXPECT_TRUE(inserted) << named.name << " collides with " << it->second;
-  }
-}
-
-TEST(SpecSerial, FleetHashIsNotTheNodeHash) {
-  // A 1-node uncoupled fleet must not collide with its node's own hash:
-  // the container header is part of the content address.
-  spec::FleetSpec fleet;
-  fleet.nodes = {base_spec()};
-  EXPECT_NE(spec::fleet_hash(fleet), spec::spec_hash(base_spec()));
 }
 
 }  // namespace

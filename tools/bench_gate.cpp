@@ -23,26 +23,15 @@
 //
 //   bench_gate BENCH_7.json --steps-gate Fig8WindSurvey=141371,27697
 //
-// --points-gate turns the solver-guided searches' probe accounting into
-// gates: --points-csv FILE reads the search telemetry CSVs that
-// design_query --search-csv emits ("name,probes,simulated,warm,grid_points",
-// see sweep/search.h) and --points-gate Name=MaxPoints asserts the named
-// search simulated at most MaxPoints cold points. MaxPoints may be 0 — the
-// warm-rerun gate: a cached query must contract with zero simulations.
-// Counts here and in --steps-gate are whole decimal numbers; a sign (as in
-// -1, which would wrap to 2^64 - 1 and never fail) is rejected:
-//
-//   bench_gate --points-csv search.csv --points-gate DesignQuery=30
-//              --points-gate DesignQueryWarm=0
+// The --steps-gate counts are whole decimal numbers; a sign (as in -1,
+// which would wrap to 2^64 - 1 and never fail) is rejected.
 //
 // Exit status 0 iff every gated pair is present and at or above its
-// threshold, and every counted gate is present and within its ceiling —
+// threshold, and every step-mix gate is present and within its ceiling —
 // so a quiescent-engine or batch-kernel speedup that silently
 // regresses turns the CI job red instead of merely shrinking a number in
-// an archived artifact. The same applies to a search that quietly starts
-// probing half the grid. Multiple JSON files merge their entries (later
-// files win), which lets several benchmark runs feed one gate invocation;
-// multiple telemetry CSVs merge the same way (later rows win per name).
+// an archived artifact. Multiple JSON files merge their entries (later
+// files win), which lets several benchmark runs feed one gate invocation.
 //
 // The parser is deliberately minimal: it scans for the "name",
 // "real_time", "time_unit" and step-mix counter keys of each benchmark
@@ -151,76 +140,17 @@ void collect(const std::string& text, std::map<std::string, Sample>& out) {
   }
 }
 
-/// One row of a sweep::Search telemetry CSV (sweep/search.h).
-struct PointsRow {
-  unsigned long long probes = 0;
-  unsigned long long simulated = 0;
-  unsigned long long warm = 0;
-  unsigned long long grid_points = 0;
-};
-
-/// Parses a "name,probes,simulated,warm,grid_points" telemetry CSV into
-/// `out` (later rows win per name). Loud failure on a malformed file — a
-/// truncated telemetry row must fail the gate run, not skip the gate.
-bool collect_points(const std::string& path,
-                    std::map<std::string, PointsRow>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-    return false;
-  }
-  std::string line;
-  if (!std::getline(in, line) ||
-      line != "name,probes,simulated,warm,grid_points") {
-    std::fprintf(stderr, "'%s' is not a search telemetry CSV (bad header)\n",
-                 path.c_str());
-    return false;
-  }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::size_t comma = line.find(',');
-    if (comma == std::string::npos || comma == 0) {
-      std::fprintf(stderr, "bad telemetry row in '%s': %s\n", path.c_str(),
-                   line.c_str());
-      return false;
-    }
-    PointsRow row;
-    unsigned long long* fields[] = {&row.probes, &row.simulated, &row.warm,
-                                    &row.grid_points};
-    std::string_view rest = std::string_view(line).substr(comma + 1);
-    bool ok = true;
-    for (std::size_t f = 0; f < 4 && ok; ++f) {
-      const std::size_t next = f == 3 ? rest.size() : rest.find(',');
-      ok = next != std::string_view::npos && parse_count(rest.substr(0, next), *fields[f]);
-      if (ok && f < 3) rest.remove_prefix(next + 1);
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad telemetry row in '%s': %s\n", path.c_str(),
-                   line.c_str());
-      return false;
-    }
-    out[line.substr(0, comma)] = row;
-  }
-  return true;
-}
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [BENCH.json ...] [--gate Pair=MinRatio ...] "
                "[--batch-gate Pair=MinRatio ...]\n"
                "          [--steps-gate Pair=MaxFine,MaxSpans ...]\n"
-               "          [--points-csv SEARCH.csv ...] "
-               "[--points-gate Name=MaxPoints ...]\n"
                "  --gate       Pair names a BM_MacroPair/<Pair>_fine & _macro "
                "pair; asserts fine/macro >= MinRatio.\n"
                "  --batch-gate Pair names a BM_BatchPair/<Pair>_scalar & "
                "_batch pair; asserts scalar/batch >= MinRatio.\n"
                "  --steps-gate Pair names a BM_MacroPair/<Pair>_macro entry; "
-               "asserts its fine_steps <= MaxFine and spans <= MaxSpans.\n"
-               "  --points-csv reads a search telemetry CSV "
-               "(name,probes,simulated,warm,grid_points).\n"
-               "  --points-gate asserts the named search simulated <= "
-               "MaxPoints cold points (0 = fully warm).\n",
+               "asserts its fine_steps <= MaxFine and spans <= MaxSpans.\n",
                argv0);
   return 2;
 }
@@ -235,11 +165,6 @@ struct Gate {
   bool batch = false;
 };
 
-struct PointsGate {
-  std::string name;
-  unsigned long long max_points = 0;
-};
-
 struct StepsGate {
   std::string pair;
   unsigned long long max_fine = 0;
@@ -248,9 +173,7 @@ struct StepsGate {
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
-  std::vector<std::string> points_files;
   std::vector<Gate> gates;
-  std::vector<PointsGate> points_gates;
   std::vector<StepsGate> steps_gates;
   for (int i = 1; i < argc; ++i) {
     const bool is_gate = std::strcmp(argv[i], "--gate") == 0;
@@ -266,18 +189,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       gates.push_back({spec.substr(0, eq), min_ratio, is_batch_gate});
-    } else if (std::strcmp(argv[i], "--points-csv") == 0 && i + 1 < argc) {
-      points_files.emplace_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--points-gate") == 0 && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const std::size_t eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0) return usage(argv[0]);
-      unsigned long long max_points = 0;
-      if (!parse_count(std::string_view(spec).substr(eq + 1), max_points)) {
-        std::fprintf(stderr, "bad --points-gate count: '%s'\n", spec.c_str());
-        return 2;
-      }
-      points_gates.push_back({spec.substr(0, eq), max_points});
     } else if (std::strcmp(argv[i], "--steps-gate") == 0 && i + 1 < argc) {
       const std::string spec = argv[++i];
       const std::size_t eq = spec.find('=');
@@ -299,13 +210,9 @@ int main(int argc, char** argv) {
       files.emplace_back(argv[i]);
     }
   }
-  if (gates.empty() && points_gates.empty() && steps_gates.empty()) {
+  if ((gates.empty() && steps_gates.empty()) || files.empty()) {
     return usage(argv[0]);
   }
-  if ((!gates.empty() || !steps_gates.empty()) && files.empty()) {
-    return usage(argv[0]);
-  }
-  if (!points_gates.empty() && points_files.empty()) return usage(argv[0]);
 
   std::map<std::string, Sample> samples;
   for (const std::string& path : files) {
@@ -318,27 +225,7 @@ int main(int argc, char** argv) {
     text << in.rdbuf();
     collect(text.str(), samples);
   }
-  std::map<std::string, PointsRow> points;
-  for (const std::string& path : points_files) {
-    if (!collect_points(path, points)) return 1;
-  }
-
   int failures = 0;
-  for (const PointsGate& gate : points_gates) {
-    const auto row = points.find(gate.name);
-    if (row == points.end()) {
-      std::printf("[FAIL] %-18s missing telemetry row\n", gate.name.c_str());
-      ++failures;
-      continue;
-    }
-    const bool ok = row->second.simulated <= gate.max_points;
-    std::printf("[%s] %-18s simulated %llu of %llu grid points in %llu probes "
-                "(%llu warm; gate <= %llu)\n",
-                ok ? "PASS" : "FAIL", gate.name.c_str(), row->second.simulated,
-                row->second.grid_points, row->second.probes, row->second.warm,
-                gate.max_points);
-    if (!ok) ++failures;
-  }
   for (const Gate& gate : gates) {
     // The slow (reference) leg over the fast (gated) leg, in both families.
     const char* prefix = gate.batch ? "BM_BatchPair/" : "BM_MacroPair/";

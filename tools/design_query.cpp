@@ -23,7 +23,7 @@
 // (the last three mutate the source in place and require a compatible
 // source family). Objectives (positive = pass, negative = fail):
 //
-//   completed          +1 when the workload completed, -1 otherwise
+//   completed          +1 when every row's workload completed, -1 otherwise
 //   brownouts          (target + 0.5) - brownouts     (pass: <= target)
 //   forward-cycles     forward_cycles - target + 0.5  (pass: >= target)
 //   final-energy       stored_final - target          (pass: >= target J)
@@ -34,16 +34,20 @@
 // The default strategy is continuous interval contraction to --tol;
 // --lattice N / --log-lattice N switch to discrete bisection over an
 // N-point linear/geometric lattice (with neighbour verification, see
-// sweep/search.h). --cache memoises probes on disk — a warm rerun of the
-// same query simulates zero points — and --search-csv appends the
-// "name,probes,simulated,warm,grid_points" telemetry row that
-// tools/bench_gate --points-gate asserts in CI. Numbers must be finite and
-// counts whole decimal integers; anything else exits 2 before a probe runs.
+// sweep/search.h). --cache memoises probes on disk: a warm rerun of the
+// same query simulates zero points, which the closing "simulated N of M
+// dense-equivalent points, K replayed warm" line reports. Numbers must be
+// finite and counts whole decimal integers; anything else exits 2 before
+// a probe runs.
 //
-// --fleet-demo asks one fixed question (capacitance, every node completes,
-// a geometric lattice), so it takes --lo, --hi, --log-lattice,
-// --max-probes, --cache and --search-csv/--search-name, and exits 2 on
-// --axis, --objective, --target, --tol, --lattice and --print-spec.
+//   design_query --fleet-demo
+//       The smallest node capacitance at which every node of the 3-node
+//       shared-RF example fleet (spec::example_rf_fleet) completes. It is
+//       one fixed query (capacitance axis, "completed" objective, a
+//       17-point geometric lattice), so it takes --lo, --hi, --log-lattice,
+//       --max-probes and --cache, and exits 2 on --axis, --objective,
+//       --target, --tol, --lattice and --print-spec.
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -77,8 +81,7 @@ int usage(const char* argv0) {
       "          [--axis capacitance|bleed|t-end|frequency|duty|amplitude]\n"
       "          [--lo X --hi X] [--tol X | --lattice N | --log-lattice N]\n"
       "          [--objective completed|brownouts|forward-cycles|final-energy]\n"
-      "          [--target X] [--max-probes N] [--cache DIR]\n"
-      "          [--search-csv FILE] [--search-name NAME] [--print-spec]\n",
+      "          [--target X] [--max-probes N] [--cache DIR] [--print-spec]\n",
       argv0);
   return 2;
 }
@@ -171,8 +174,12 @@ sweep::SearchAxis make_axis(const std::string& name) {
 
 sweep::SearchObjective make_objective(const std::string& name, double target) {
   if (name == "completed") {
+    // One row per variant: a fleet probe passes only when every node does.
     return [](double, const std::vector<sim::SimResult>& rows) {
-      return rows[0].mcu.completed ? 1.0 : -1.0;
+      for (const sim::SimResult& row : rows) {
+        if (!row.mcu.completed) return -1.0;
+      }
+      return 1.0;
     };
   }
   if (name == "brownouts") {
@@ -229,8 +236,6 @@ int main(int argc, char** argv) {
   bool log_lattice = false;
   std::size_t max_probes = 64;
   std::optional<sweep::Cache> cache;
-  const char* search_csv_path = nullptr;
-  const char* search_name = "DesignQuery";
   // The last flag given that --fleet-demo has no use for.
   const char* non_fleet_flag = nullptr;
 
@@ -265,10 +270,6 @@ int main(int argc, char** argv) {
       objective_name = argv[++i];
     } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
       cache.emplace(argv[++i]);
-    } else if (std::strcmp(argv[i], "--search-csv") == 0 && i + 1 < argc) {
-      search_csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--search-name") == 0 && i + 1 < argc) {
-      search_name = argv[++i];
     } else if (value_flag("--hi", hi)) {
       hi_overridden = true;
     } else if (value_flag("--target", target) || value_flag("--lo", lo) ||
@@ -294,6 +295,46 @@ int main(int argc, char** argv) {
                  non_fleet_flag);
     return 2;
   }
+
+  // The query every mode feeds to the one search-and-report path below.
+  spec::SystemSpec base;
+  std::string title;
+  std::string variant_axis;
+  std::vector<sweep::AxisValue> variants;
+  if (fleet_demo) {
+    // The smallest node capacitance at which *every* coupled node rides its
+    // staggered harvest windows to workload completion. The fleet's node
+    // axis becomes the search's variant axis: each probe simulates all N
+    // lowered nodes at the candidate C, and the "completed" objective sees
+    // all their rows. The example fleet is homogeneous apart from the
+    // lowered per-node source, so the variants substitute only the source;
+    // the capacitance axis (applied first, see sweep::Grid axis order) then
+    // composes with every variant.
+    const spec::FleetSpec fleet = spec::example_rf_fleet(3);
+    base = fleet.nodes[0];
+    title = "fleet design query: min capacitance completing all " +
+            std::to_string(fleet.size()) + " shared-RF nodes";
+    variant_axis = "node";
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      variants.push_back({"node" + std::to_string(i),
+                          [source = spec::fleet_node_spec(fleet, i).source](
+                              spec::SystemSpec& s) { s.source = source; }});
+    }
+    objective_name = "completed";
+    // The generic 1 mF ceiling is past the fleet's pass band (a huge node
+    // never charges to v_on through its duty-cycled window inside the
+    // horizon, so both endpoints would fail). Default to the example
+    // node's own 220 uF, a known all-complete endpoint.
+    if (!hi_overridden) hi = base.storage.capacitance;
+    log_lattice = true;
+    if (lattice_n == 0) lattice_n = 17;  // 16 geometric cells across [lo, hi]
+  } else {
+    char target_text[32];
+    std::snprintf(target_text, sizeof(target_text), "%g", target);
+    title = "design query: " + objective_name + " vs " + axis_name +
+            " (objective " + objective_name + ", target " + target_text + ")";
+  }
+
   if (!(lo < hi) || !(tol > 0.0) || max_probes < 2 ||
       (lattice_n != 0 && (lattice_n < 2 || lattice_n > kMaxLattice))) {
     std::fprintf(stderr, "need --lo < --hi, --tol > 0, --max-probes >= 2 and "
@@ -308,128 +349,15 @@ int main(int argc, char** argv) {
   // tolerance-matched linear sweep would need (one point per tol-sized
   // cell, inclusive ends). hi - lo may overflow to inf.
   const double contract_cells = std::ceil((hi - lo) / tol);
-  if (!fleet_demo && lattice_n == 0 && !(contract_cells < 0x1p64)) {
+  if (lattice_n == 0 && !(contract_cells < 0x1p64)) {
     std::fprintf(stderr, "--tol %g over [%g, %g] needs more dense-equivalent "
                          "points than a count can hold\n", tol, lo, hi);
     return 2;
   }
 
-  if (fleet_demo) {
-    // Fleet inverse question on the canonical shared-RF example
-    // (spec::example_rf_fleet): the smallest node capacitance at which
-    // *every* coupled node rides its staggered harvest windows to workload
-    // completion. The fleet's node axis becomes the search's variant axis
-    // — each probe simulates all N lowered nodes at the candidate C and
-    // the objective sees all rows — so the solver brackets the fleet-wide
-    // threshold in O(log) simulations, cacheable like any other probes.
-    //
-    // The example fleet is homogeneous apart from the lowered per-node
-    // source, so the variants substitute only the source; the capacitance
-    // axis (applied first, see sweep::Grid axis order) then composes with
-    // every variant.
-    const spec::FleetSpec fleet = spec::example_rf_fleet(3);
-    if (!hi_overridden) {
-      // The generic 1 mF ceiling is past the fleet's pass band (a huge
-      // node never charges to v_on through its duty-cycled window inside
-      // the horizon, so both endpoints would fail). Default to the example
-      // node's own 220 uF — a known all-complete endpoint.
-      hi = fleet.nodes[0].storage.capacitance;
-    }
-    std::vector<sweep::AxisValue> node_variants;
-    node_variants.reserve(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      node_variants.push_back(
-          {"node" + std::to_string(i),
-           [source = spec::fleet_node_spec(fleet, i).source](
-               spec::SystemSpec& s) { s.source = source; }});
-    }
-
-    sweep::SearchOptions options;
-    options.max_probes = max_probes;
-    if (cache.has_value()) options.runner.cache = &*cache;
-
-    try {
-      sweep::Search search(
-          fleet.nodes[0], make_axis("capacitance"), "node", node_variants,
-          [](double, const std::vector<sim::SimResult>& rows) {
-            // +1 when every node completed, -1 as soon as one did not:
-            // sign-rising in C (more storage rides longer window gaps).
-            for (const sim::SimResult& row : rows) {
-              if (!row.mcu.completed) return -1.0;
-            }
-            return 1.0;
-          },
-          options);
-
-      // Geometric capacitance lattice, 16 cells across [lo, hi].
-      std::vector<double> lattice;
-      const std::size_t n = lattice_n > 0 ? lattice_n : 17;
-      lattice.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double t = static_cast<double>(i) / static_cast<double>(n - 1);
-        lattice.push_back(lo * std::pow(hi / lo, t));
-      }
-      const std::size_t dense_points = lattice.size() * fleet.size();
-      const sweep::SearchOutcome outcome = search.bracket_on(lattice);
-
-      sim::Table table({"probe", "capacitance", "nodes completed", "objective",
-                        "origin"});
-      for (std::size_t i = 0; i < outcome.probes.size(); ++i) {
-        const sweep::SearchProbe& probe = outcome.probes[i];
-        std::size_t completed = 0;
-        for (const sim::SimResult& row : probe.rows) {
-          completed += row.mcu.completed ? 1 : 0;
-        }
-        table.add_row({std::to_string(i), sim::Table::eng(probe.x, "F", 1),
-                       std::to_string(completed) + "/" +
-                           std::to_string(probe.rows.size()),
-                       sim::Table::num(probe.value, 0),
-                       probe.warm == 0 ? "fresh"
-                                       : (probe.simulated == 0 ? "warm" : "mixed")});
-      }
-      std::printf("=== fleet design query: min capacitance completing all %zu "
-                  "shared-RF nodes ===\n\n",
-                  fleet.size());
-      table.print(std::cout);
-
-      std::printf("\nthreshold bracket: some node fails at %s, all complete at "
-                  "%s\n",
-                  sim::Table::eng(outcome.lo, "F", 1).c_str(),
-                  sim::Table::eng(outcome.hi, "F", 1).c_str());
-      std::printf("simulated %zu of %zu dense-equivalent points, %zu replayed "
-                  "warm (%zu probes)\n",
-                  outcome.simulated_points(), dense_points,
-                  outcome.warm_points(), outcome.probe_count());
-
-      if (search_csv_path != nullptr) {
-        sweep::append_search_telemetry(search_csv_path, search_name, search,
-                                       dense_points);
-        std::fprintf(stderr, "search telemetry -> %s (%s)\n", search_csv_path,
-                     search_name);
-      }
-    } catch (const sweep::SearchError& error) {
-      std::fprintf(stderr, "search failed (%s): %s\n",
-                   sweep::search_error_kind_name(error.kind()), error.what());
-      return 1;
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "%s\n", error.what());
-      return 2;
-    }
-
-    if (cache.has_value()) {
-      const sweep::CacheStats stats = cache->stats();
-      std::fprintf(stderr, "cache: %llu hits, %llu misses, %llu stored\n",
-                   static_cast<unsigned long long>(stats.hits),
-                   static_cast<unsigned long long>(stats.misses),
-                   static_cast<unsigned long long>(stats.stores));
-    }
-    return 0;
-  }
-
-  spec::SystemSpec base;
   if (demo) {
     base = demo_spec();
-  } else {
+  } else if (spec_path != nullptr) {
     std::string text;
     if (std::strcmp(spec_path, "-") == 0) {
       std::ostringstream buffer;
@@ -461,11 +389,12 @@ int main(int argc, char** argv) {
   options.max_probes = max_probes;
   if (cache.has_value()) options.runner.cache = &*cache;
 
-  sweep::SearchOutcome outcome;
-  std::size_t dense_points = 0;
   try {
-    sweep::Search search(base, make_axis(axis_name),
+    const sweep::SearchAxis axis = make_axis(axis_name);
+    sweep::Search search(base, axis, variant_axis, variants,
                          make_objective(objective_name, target), options);
+    sweep::SearchOutcome outcome;
+    std::size_t dense_points = 0;
     if (lattice_n > 0) {
       std::vector<double> lattice;
       lattice.reserve(lattice_n);
@@ -480,18 +409,18 @@ int main(int argc, char** argv) {
       dense_points = static_cast<std::size_t>(contract_cells) + 1;
       outcome = search.contract(lo, hi, tol);
     }
+    dense_points *= std::max<std::size_t>(1, variants.size());  // a row per variant
 
     sim::Table table({"probe", axis_name, "objective", "origin"});
     for (std::size_t i = 0; i < outcome.probes.size(); ++i) {
       const sweep::SearchProbe& probe = outcome.probes[i];
-      table.add_row({std::to_string(i), sim::Table::num(probe.x, 9),
+      table.add_row({std::to_string(i),
+                     axis.label ? axis.label(probe.x) : sim::Table::num(probe.x, 9),
                      sim::Table::num(probe.value, 3),
                      probe.warm == 0 ? "fresh"
                                      : (probe.simulated == 0 ? "warm" : "mixed")});
     }
-    std::printf("=== design query: %s vs %s (objective %s, target %g) ===\n\n",
-                objective_name.c_str(), axis_name.c_str(), objective_name.c_str(),
-                target);
+    std::printf("=== %s ===\n\n", title.c_str());
     table.print(std::cout);
 
     const bool pass_high = outcome.direction > 0;
@@ -502,13 +431,6 @@ int main(int argc, char** argv) {
                 "warm (%zu probes)\n",
                 outcome.simulated_points(), dense_points, outcome.warm_points(),
                 outcome.probe_count());
-
-    if (search_csv_path != nullptr) {
-      sweep::append_search_telemetry(search_csv_path, search_name, search,
-                                     dense_points);
-      std::fprintf(stderr, "search telemetry -> %s (%s)\n", search_csv_path,
-                   search_name);
-    }
   } catch (const sweep::SearchError& error) {
     std::fprintf(stderr, "search failed (%s): %s\n",
                  sweep::search_error_kind_name(error.kind()), error.what());
