@@ -3,16 +3,15 @@
 # directory and requires that the warm rerun (a) simulates 0 points and
 # (b) prints a bit-identical table (the bench writes cache statistics to
 # stderr precisely so stdout stays byte-comparable). Then corrupts one
-# entry and drives the self-healing CLI loop: fsck flags it (exit 1),
-# fsck --quarantine moves it aside to <entry>.bad, and a re-check comes
-# back clean (exit 0). Then prune --max-bytes -1 must be a usage error
-# (exit 2), not a budget wrapped to 2^64 - 1. Last, the bench's --trace-dir
-# must exit 2 with nothing on stdout for a missing directory, a directory
-# with no *.csv, and a CSV with one data row.
+# entry and drives the load-time self-healing loop: the next warm run
+# quarantines it to <entry>.bad, re-simulates exactly that point and still
+# prints the cold table byte for byte, and the run after it simulates 0
+# points again. Last, the bench's --trace-dir must exit 2 with nothing on
+# stdout for a missing directory, a directory with no *.csv, and a CSV with
+# one data row.
 #
-#   cmake -DBENCH=<tab_policy_comparison> -DSWEEP_CACHE=<sweep_cache>
-#         -DWORK=<dir> -P this
-foreach(var BENCH SWEEP_CACHE WORK)
+#   cmake -DBENCH=<tab_policy_comparison> -DWORK=<dir> -P this
+foreach(var BENCH WORK)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "missing -D${var}=...")
   endif()
@@ -21,41 +20,45 @@ endforeach()
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
-execute_process(
-  COMMAND "${BENCH}" --cache "${WORK}/cache"
-  OUTPUT_FILE "${WORK}/cold.out" ERROR_FILE "${WORK}/cold.err"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "cold bench run failed (${rc})")
-endif()
+# Runs the bench against the cache into <name>.out / <name>.err; every run
+# after the cold one must print the cold table byte for byte.
+function(run_cached name)
+  execute_process(
+    COMMAND "${BENCH}" --cache "${WORK}/cache"
+    OUTPUT_FILE "${WORK}/${name}.out" ERROR_FILE "${WORK}/${name}.err"
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name} bench run failed (${rc})")
+  endif()
+  if(NOT name STREQUAL "cold")
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files "${WORK}/cold.out" "${WORK}/${name}.out"
+      RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "${name} rerun did not reproduce the cold table bit-identically")
+    endif()
+  endif()
+endfunction()
 
-execute_process(
-  COMMAND "${BENCH}" --cache "${WORK}/cache"
-  OUTPUT_FILE "${WORK}/warm.out" ERROR_FILE "${WORK}/warm.err"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "warm bench run failed (${rc})")
-endif()
+# Fails unless the run's stderr reports `simulated <n> of`.
+function(expect_simulated name n)
+  file(READ "${WORK}/${name}.err" err)
+  if(NOT err MATCHES "simulated ${n} of")
+    message(FATAL_ERROR "${name} run did not simulate exactly ${n} points: ${err}")
+  endif()
+endfunction()
 
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files "${WORK}/cold.out" "${WORK}/warm.out"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "warm-cache rerun did not reproduce the table bit-identically")
-endif()
-
-file(READ "${WORK}/warm.err" warm_err)
-if(NOT warm_err MATCHES "simulated 0 of")
-  message(FATAL_ERROR "warm rerun still simulated points: ${warm_err}")
-endif()
+run_cached(cold)
 file(READ "${WORK}/cold.err" cold_err)
 if(NOT cold_err MATCHES "0 hits")
   message(FATAL_ERROR "cold run unexpectedly hit a fresh cache: ${cold_err}")
 endif()
+run_cached(warm)
+expect_simulated(warm 0)
 
 message(STATUS "warm-cache rerun simulated 0 points with a bit-identical table")
 
-# ---- self-healing CLI loop: corrupt -> fsck -> quarantine -> clean ----------
+# ---- load-time self-healing: corrupt -> quarantine + resimulate -> warm ----
 
 file(GLOB_RECURSE entries "${WORK}/cache/*.edcres")
 list(LENGTH entries entry_count)
@@ -65,37 +68,19 @@ endif()
 list(GET entries 0 victim)
 file(WRITE "${victim}" "deliberately rotten bytes")
 
-execute_process(COMMAND "${SWEEP_CACHE}" fsck "${WORK}/cache"
-  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "fsck missed a deliberately corrupted entry")
-endif()
-
-execute_process(COMMAND "${SWEEP_CACHE}" fsck "${WORK}/cache" --quarantine
-  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "fsck --quarantine reported a clean cache while quarantining")
-endif()
-if(EXISTS "${victim}")
-  message(FATAL_ERROR "fsck --quarantine left the corrupt entry in place")
-endif()
+run_cached(heal)
+expect_simulated(heal 1)
 if(NOT EXISTS "${victim}.bad")
-  message(FATAL_ERROR "fsck --quarantine did not produce ${victim}.bad")
+  message(FATAL_ERROR "the corrupt entry was not quarantined to ${victim}.bad")
+endif()
+if(NOT EXISTS "${victim}")
+  message(FATAL_ERROR "the healing run did not store a fresh entry at ${victim}")
 endif()
 
-execute_process(COMMAND "${SWEEP_CACHE}" fsck "${WORK}/cache"
-  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "cache still dirty after fsck --quarantine")
-endif()
+run_cached(healed)
+expect_simulated(healed 0)
 
-message(STATUS "fsck --quarantine healed the corrupted entry (moved to .bad)")
-
-execute_process(COMMAND "${SWEEP_CACHE}" prune "${WORK}/cache" --max-bytes -1
-  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "prune --max-bytes -1 exited ${rc}, expected the usage error 2")
-endif()
+message(STATUS "a corrupt entry was quarantined, re-simulated and served warm again")
 
 # ---- --trace-dir rejects unusable datasets: exit 2, empty stdout -----------
 

@@ -40,8 +40,8 @@ namespace edc::spec {
 /// (grid order and the rows of a report depend on it). Throws
 /// std::invalid_argument when the directory does not exist or holds no CSV
 /// — a silently empty axis would make a zero-point grid. The building
-/// block of the sweep layer's trace-directory axes
-/// (Grid::voltage_trace_dir_axis / power_trace_dir_axis).
+/// block of the sweep layer's trace-directory axis
+/// (Grid::voltage_trace_dir_axis).
 [[nodiscard]] std::vector<std::string> list_trace_csvs(
     const std::string& dataset_dir);
 

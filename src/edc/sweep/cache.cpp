@@ -62,13 +62,14 @@ struct DecodedEntry {
 };
 
 /// Splits an entry back into its parts; throws canon::FormatError on any
-/// corruption (bad magic, malformed wall time or provenance, truncated
-/// blocks, trailing bytes).
+/// corruption (bad magic, malformed, negative or NaN wall time, bad
+/// provenance, truncated blocks, trailing bytes).
 DecodedEntry decode_entry(std::string_view bytes) {
   canon::FrameReader in(bytes);
   if (in.line() != kEntryMagic) throw canon::FormatError("bad cache entry magic");
   DecodedEntry entry;
   entry.micros = canon::parse_double(in.value("micros"));
+  if (!(entry.micros >= 0.0)) throw canon::FormatError("negative or NaN wall time");
   const std::string_view provenance = in.value("provenance");
   if (provenance != "s" && provenance != "b") {
     throw canon::FormatError("bad provenance '" + std::string(provenance) + "'");
@@ -80,28 +81,30 @@ DecodedEntry decode_entry(std::string_view bytes) {
   return entry;
 }
 
+/// Renames a corrupt entry to <entry>.bad, out of the load namespace but
+/// kept for post-mortem. Best-effort: false when the rename failed (a
+/// concurrent quarantine of the same entry is fine).
+bool quarantine_entry(const std::filesystem::path& path) {
+  std::error_code ec;
+  std::filesystem::rename(path, path.string() + ".bad", ec);
+  return !ec;
+}
+
 }  // namespace
 
 Cache::Cache(std::filesystem::path directory) : dir_(std::move(directory)) {}
-
-std::filesystem::path Cache::versioned_directory() const {
-  return dir_ / ("v" + std::to_string(spec::kSpecFormatVersion) + "-" +
-                 std::to_string(sim::kResultFormatVersion));
-}
 
 std::filesystem::path Cache::entry_path(const std::string& key_text) const {
   return entry_path(spec::fnv1a64(key_text));
 }
 
 std::filesystem::path Cache::entry_path(std::uint64_t key_hash) const {
+  // A format bump changes the v<S>-<R> component, so entries written under
+  // other versions are never read.
+  const std::string versioned = "v" + std::to_string(spec::kSpecFormatVersion) +
+                                "-" + std::to_string(sim::kResultFormatVersion);
   const std::string hex = hex16(key_hash);
-  return versioned_directory() / hex.substr(0, 2) / (hex + ".edcres");
-}
-
-bool Cache::quarantine_entry(const std::filesystem::path& path) {
-  std::error_code ec;
-  std::filesystem::rename(path, path.string() + ".bad", ec);
-  return !ec;
+  return dir_ / versioned / hex.substr(0, 2) / (hex + ".edcres");
 }
 
 std::optional<CachedPoint> Cache::load(const std::string& key_text) const {
@@ -145,47 +148,15 @@ std::optional<CachedPoint> Cache::load(const std::string& key_text) const {
     point.micros = entry.micros;
     point.provenance = entry.provenance;
     ++hits_;
-    // Refresh recency so LRU pruning ranks this entry as just-used.
-    std::error_code ec;
-    std::filesystem::last_write_time(
-        path, std::filesystem::file_time_type::clock::now(), ec);
     return point;
   } catch (const canon::FormatError&) {
     // Bytes exist but don't decode or parse: a torn or bit-rotted entry.
-    // Move it aside so it stops wasting a read per lookup and can't be
-    // mistaken for a healthy entry by pruning; the caller simulates.
+    // Move it aside so it stops wasting a read per lookup; the caller
+    // simulates and its store() writes a healthy entry in its place.
     if (quarantine_entry(path)) ++quarantined_;
     ++misses_;
     return std::nullopt;
   }
-}
-
-std::string Cache::fsck_entry(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "unreadable";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) return "read error";
-
-  const std::string bytes = buffer.str();
-  DecodedEntry entry;
-  try {
-    entry = decode_entry(bytes);
-  } catch (const canon::FormatError& error) {
-    return std::string("undecodable: ") + error.what();
-  }
-  const std::string expected = hex16(spec::fnv1a64(entry.spec_text)) + ".edcres";
-  if (path.filename().string() != expected) {
-    return "filename does not match the embedded key text (expected " + expected +
-           ")";
-  }
-  try {
-    (void)sim::parse_result(std::string(entry.result_text));
-  } catch (const canon::FormatError& error) {
-    return std::string("stored result does not parse: ") + error.what();
-  }
-  if (!(entry.micros >= 0.0)) return "negative or NaN wall time";
-  return {};
 }
 
 void Cache::store(const std::string& key_text, const sim::SimResult& result,

@@ -33,16 +33,18 @@
 //
 // Entries are written to a temp file and renamed into place, so concurrent
 // writers (the Runner's worker threads, or independent processes pointed
-// at a shared directory) never expose a torn entry. Unreadable
-// entries are treated as misses; *corrupt* entries (bytes present but
-// undecodable, or a stored result that fails to parse) are self-healed:
-// the bad file is quarantined — renamed to <entry>.bad, out of the load /
-// fsck / prune namespace — and counted in stats().quarantined, so a bad
-// sector can't keep masquerading as a cache entry and pruning can't
-// resurrect it. A valid entry whose embedded key differs (a 64-bit hash
-// collision) is NOT corruption and is left in place. Specs carrying opaque
-// factory callbacks are non-cacheable (see spec::non_cacheable_reason) and
-// are always re-simulated; the Runner counts them in stats().non_cacheable.
+// at a shared directory) never expose a torn entry. load() is the one
+// place an entry is verified: unreadable entries are treated as misses;
+// *corrupt* entries (bytes present but undecodable, or a stored result
+// that fails to parse) are self-healed: the bad file is quarantined —
+// renamed to <entry>.bad, out of the load namespace — and counted in
+// stats().quarantined, so a bad sector can't keep masquerading as a cache
+// entry. A valid entry whose embedded key differs (a 64-bit hash
+// collision) is NOT corruption and is left in place. A hit only reads the
+// file system; there is no eviction — to reclaim space, delete the
+// directory. Specs carrying opaque factory callbacks are non-cacheable (see
+// spec::non_cacheable_reason) and are always re-simulated; the Runner
+// counts them in stats().non_cacheable.
 //
 // For chaos testing, set_fault_injector() threads a sweep::FaultInjector
 // through every I/O seam (read / truncated read / write / rename, plus the
@@ -93,9 +95,8 @@ class Cache {
   explicit Cache(std::filesystem::path directory);
 
   /// Looks up the result stored under the canonical spec text `key_text`
-  /// (as produced by spec::serialize). Thread-safe. A hit refreshes the
-  /// entry's mtime (best-effort) so `sweep_cache prune` evicts in true
-  /// least-recently-*used* order, not written order.
+  /// (as produced by spec::serialize). Thread-safe. A corrupt entry is
+  /// quarantined and reads as a miss.
   [[nodiscard]] std::optional<CachedPoint> load(const std::string& key_text) const;
 
   /// Stores `result` under `key_text`, atomically (temp file + rename),
@@ -104,23 +105,6 @@ class Cache {
   /// Thread-safe; concurrent stores of the same key are harmless.
   void store(const std::string& key_text, const sim::SimResult& result,
              double micros = 0.0, char provenance = 's') const;
-
-  /// Integrity check of one on-disk entry of the *current* format version
-  /// (the `sweep_cache fsck` core): decodes the blocks, verifies the
-  /// filename matches the FNV-1a-64 of the embedded key text, and parses
-  /// the stored result. Returns an empty string when healthy, else a
-  /// human-readable reason. Entries written by other format versions do
-  /// not decode here — callers must scope themselves to the current
-  /// versioned_directory() (as the CLI does) rather than judge them.
-  [[nodiscard]] static std::string fsck_entry(const std::filesystem::path& path);
-
-  /// Quarantines one on-disk entry: renames `path` to `path + ".bad"`,
-  /// taking it out of the load / fsck / prune namespace while preserving
-  /// the bytes for post-mortem. Returns true when the rename succeeded
-  /// (best-effort; a concurrent quarantine of the same entry is fine).
-  /// load() calls this automatically on corrupt entries; `sweep_cache
-  /// fsck --quarantine` applies it to everything fsck flags.
-  static bool quarantine_entry(const std::filesystem::path& path);
 
   /// Threads a fault injector through every I/O seam (nullptr to detach).
   /// Not owned; must outlive the Cache. Not thread-safe against concurrent
@@ -138,9 +122,6 @@ class Cache {
   [[nodiscard]] const std::filesystem::path& directory() const noexcept {
     return dir_;
   }
-
-  /// The versioned directory entries currently live in (<dir>/v<S>-<R>).
-  [[nodiscard]] std::filesystem::path versioned_directory() const;
 
   /// Full path of the entry a given canonical key text maps to.
   [[nodiscard]] std::filesystem::path entry_path(const std::string& key_text) const;

@@ -66,19 +66,6 @@ Grid& Grid::voltage_trace_dir_axis(std::string name, const std::string& dataset_
   return axis(std::move(name), std::move(values));
 }
 
-Grid& Grid::power_trace_dir_axis(std::string name, const std::string& dataset_dir) {
-  std::vector<AxisValue> values;
-  for (const auto& path : spec::list_trace_csvs(dataset_dir)) {
-    auto source = spec::load_power_trace_csv(path);
-    std::string label = source.label;
-    values.push_back(AxisValue{std::move(label),
-                               [source = std::move(source)](spec::SystemSpec& s) {
-                                 s.source = source;
-                               }});
-  }
-  return axis(std::move(name), std::move(values));
-}
-
 Grid& Grid::workload_seed_axis(const std::vector<std::uint64_t>& seeds) {
   std::vector<AxisValue> values;
   values.reserve(seeds.size());

@@ -81,10 +81,6 @@ class Grid {
   Grid& voltage_trace_dir_axis(std::string name, const std::string& dataset_dir,
                                Ohms series_resistance = 50.0);
 
-  /// As voltage_trace_dir_axis, for "time,watts" traces feeding the
-  /// harvester-converter front-end.
-  Grid& power_trace_dir_axis(std::string name, const std::string& dataset_dir);
-
   /// Number of points: the product of the axis sizes (1 = just the base).
   [[nodiscard]] std::size_t size() const noexcept;
   [[nodiscard]] const std::vector<Axis>& axes() const noexcept { return axes_; }

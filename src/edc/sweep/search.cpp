@@ -20,6 +20,12 @@ std::string format_value(double x) {
 
 int sign_of(double value) { return value > 0.0 ? 1 : -1; }
 
+/// Index of `x` in a strictly increasing lattice that holds it.
+std::size_t lattice_index(const std::vector<double>& lattice, double x) {
+  return static_cast<std::size_t>(
+      std::lower_bound(lattice.begin(), lattice.end(), x) - lattice.begin());
+}
+
 }  // namespace
 
 const char* search_error_kind_name(SearchErrorKind kind) noexcept {
@@ -48,12 +54,6 @@ std::size_t SearchOutcome::warm_points() const noexcept {
   std::size_t n = 0;
   for (const SearchProbe& probe : probes) n += probe.warm;
   return n;
-}
-
-double SearchOutcome::micros_total() const noexcept {
-  double total = 0.0;
-  for (const SearchProbe& probe : probes) total += probe.micros;
-  return total;
 }
 
 Search::Search(spec::SystemSpec base, SearchAxis axis, SearchObjective objective,
@@ -127,11 +127,6 @@ const SearchProbe& Search::probe(double x) {
   return probes_.back();
 }
 
-int Search::checked_sign(const SearchProbe& probe) const {
-  // probe() rejects zero/non-finite values up front, so this is total.
-  return sign_of(probe.value);
-}
-
 void Search::verify_trail() const {
   std::vector<const SearchProbe*> trail;
   trail.reserve(probes_.size());
@@ -151,88 +146,23 @@ void Search::verify_trail() const {
   }
 }
 
-SearchOutcome Search::bracket_on(const std::vector<double>& lattice) {
-  EDC_CHECK(lattice.size() >= 2, "a lattice search needs at least two values");
-  for (std::size_t i = 1; i < lattice.size(); ++i) {
-    EDC_CHECK(lattice[i - 1] < lattice[i], "lattice must be strictly increasing");
-  }
-
+SearchOutcome Search::bracket(double lo, double hi, const NextProbe& next,
+                              const std::vector<double>& lattice) {
   // Every probe this operation touches, in first-touch order — including
-  // memoised probes shared with earlier operations on this Search.
+  // memoised probes shared with earlier operations on this Search. probe()
+  // rejects zero/non-finite values up front, so every sign is +1 or -1.
   std::vector<std::size_t> touched;
-  const auto touch = [&](double x) -> const SearchProbe& {
-    const SearchProbe& result = probe(x);
+  const auto touch = [&](double x) {
+    const int sign = sign_of(probe(x).value);
     const std::size_t index = probe_at_.at(x);
     if (std::find(touched.begin(), touched.end(), index) == touched.end()) {
       touched.push_back(index);
     }
-    return result;
+    return sign;
   };
 
-  std::size_t lo = 0;
-  std::size_t hi = lattice.size() - 1;
-  const int sign_lo = checked_sign(touch(lattice[lo]));
-  const int sign_hi = checked_sign(touch(lattice[hi]));
-  if (sign_lo == sign_hi) {
-    fail(SearchErrorKind::kNoBracket,
-         "objective has sign " + std::string(sign_lo > 0 ? "+" : "-") +
-             " at both lattice endpoints " + axis_.name + " = " +
-             format_value(lattice.front()) + " and " +
-             format_value(lattice.back()));
-  }
-  if (options_.direction != 0 && sign_hi != options_.direction) {
-    fail(SearchErrorKind::kReversed,
-         "bracket crosses " + std::string(sign_lo > 0 ? "+ to -" : "- to +") +
-             " but the declared direction is " +
-             std::string(options_.direction > 0 ? "rising" : "falling"));
-  }
-
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (checked_sign(touch(lattice[mid])) == sign_lo) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    verify_trail();
-  }
-
-  // Certify the cell against its immediate neighbours: a locally noisy
-  // flip adjacent to the found cell now lands in the probe trail, where
-  // the single-flip invariant catches it.
-  if (lo > 0) touch(lattice[lo - 1]);
-  if (hi + 1 < lattice.size()) touch(lattice[hi + 1]);
-  verify_trail();
-
-  SearchOutcome outcome;
-  outcome.lo = lattice[lo];
-  outcome.hi = lattice[hi];
-  outcome.value_lo = probes_[probe_at_.at(lattice[lo])].value;
-  outcome.value_hi = probes_[probe_at_.at(lattice[hi])].value;
-  outcome.lo_index = lo;
-  outcome.hi_index = hi;
-  outcome.direction = sign_hi;
-  outcome.probes.reserve(touched.size());
-  for (const std::size_t index : touched) outcome.probes.push_back(probes_[index]);
-  return outcome;
-}
-
-SearchOutcome Search::contract(double lo, double hi, double x_tol) {
-  EDC_CHECK(lo < hi, "contract needs lo < hi");
-  EDC_CHECK(x_tol > 0.0, "contract needs a positive tolerance");
-
-  std::vector<std::size_t> touched;
-  const auto touch = [&](double x) -> const SearchProbe& {
-    const SearchProbe& result = probe(x);
-    const std::size_t index = probe_at_.at(x);
-    if (std::find(touched.begin(), touched.end(), index) == touched.end()) {
-      touched.push_back(index);
-    }
-    return result;
-  };
-
-  const int sign_lo = checked_sign(touch(lo));
-  const int sign_hi = checked_sign(touch(hi));
+  const int sign_lo = touch(lo);
+  const int sign_hi = touch(hi);
   if (sign_lo == sign_hi) {
     fail(SearchErrorKind::kNoBracket,
          "objective has sign " + std::string(sign_lo > 0 ? "+" : "-") +
@@ -246,18 +176,26 @@ SearchOutcome Search::contract(double lo, double hi, double x_tol) {
              std::string(options_.direction > 0 ? "rising" : "falling"));
   }
 
-  while (hi - lo > x_tol) {
-    const double mid = lo + (hi - lo) / 2.0;
-    if (!(mid > lo && mid < hi)) break;  // float resolution exhausted
-    if (checked_sign(touch(mid)) == sign_lo) {
-      lo = mid;
+  while (const std::optional<double> mid = next(lo, hi)) {
+    if (touch(*mid) == sign_lo) {
+      lo = *mid;
     } else {
-      hi = mid;
+      hi = *mid;
     }
     verify_trail();
   }
 
   SearchOutcome outcome;
+  if (!lattice.empty()) {
+    // Certify the cell against its immediate neighbours: a locally noisy
+    // flip adjacent to the found cell now lands in the probe trail, where
+    // the single-flip invariant catches it.
+    outcome.lo_index = lattice_index(lattice, lo);
+    outcome.hi_index = lattice_index(lattice, hi);
+    if (outcome.lo_index > 0) touch(lattice[outcome.lo_index - 1]);
+    if (outcome.hi_index + 1 < lattice.size()) touch(lattice[outcome.hi_index + 1]);
+    verify_trail();
+  }
   outcome.lo = lo;
   outcome.hi = hi;
   outcome.value_lo = probes_[probe_at_.at(lo)].value;
@@ -268,15 +206,38 @@ SearchOutcome Search::contract(double lo, double hi, double x_tol) {
   return outcome;
 }
 
+SearchOutcome Search::bracket_on(const std::vector<double>& lattice) {
+  EDC_CHECK(lattice.size() >= 2, "a lattice search needs at least two values");
+  for (std::size_t i = 1; i < lattice.size(); ++i) {
+    EDC_CHECK(lattice[i - 1] < lattice[i], "lattice must be strictly increasing");
+  }
+  // Bisect the index range: the next probe is the middle lattice point
+  // of the bracket, until the bracket is one cell.
+  const auto next = [&lattice](double lo, double hi) -> std::optional<double> {
+    const std::size_t i = lattice_index(lattice, lo);
+    const std::size_t j = lattice_index(lattice, hi);
+    if (j - i <= 1) return std::nullopt;
+    return lattice[i + (j - i) / 2];
+  };
+  return bracket(lattice.front(), lattice.back(), next, lattice);
+}
+
+SearchOutcome Search::contract(double lo, double hi, double x_tol) {
+  EDC_CHECK(lo < hi, "contract needs lo < hi");
+  EDC_CHECK(x_tol > 0.0, "contract needs a positive tolerance");
+  // Bisect until the bracket is within x_tol or the float midpoint no
+  // longer falls strictly inside it.
+  const auto next = [x_tol](double lo, double hi) -> std::optional<double> {
+    const double mid = lo + (hi - lo) / 2.0;
+    if (!(hi - lo > x_tol && mid > lo && mid < hi)) return std::nullopt;
+    return mid;
+  };
+  return bracket(lo, hi, next, {});
+}
+
 std::size_t Search::simulated_points() const noexcept {
   std::size_t n = 0;
   for (const SearchProbe& probe : probes_) n += probe.simulated;
-  return n;
-}
-
-std::size_t Search::warm_points() const noexcept {
-  std::size_t n = 0;
-  for (const SearchProbe& probe : probes_) n += probe.warm;
   return n;
 }
 

@@ -53,6 +53,7 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -170,7 +171,6 @@ struct SearchOutcome {
   [[nodiscard]] std::size_t probe_count() const noexcept { return probes.size(); }
   [[nodiscard]] std::size_t simulated_points() const noexcept;
   [[nodiscard]] std::size_t warm_points() const noexcept;
-  [[nodiscard]] double micros_total() const noexcept;
 };
 
 class Search {
@@ -213,7 +213,6 @@ class Search {
     return probes_;
   }
   [[nodiscard]] std::size_t simulated_points() const noexcept;
-  [[nodiscard]] std::size_t warm_points() const noexcept;
 
   /// The dense grid this search replaces (same base spec, same axis
   /// mutators, same variants): its points' specs are byte-identical to
@@ -222,8 +221,17 @@ class Search {
   [[nodiscard]] Grid dense_grid(const std::vector<double>& lattice) const;
 
  private:
-  /// Signum with loud degeneracy: +1/-1, throws on 0/NaN/inf.
-  int checked_sign(const SearchProbe& probe) const;
+  /// Yields the next probe strictly inside the bracket (lo, hi), or
+  /// nothing once the bracket has converged.
+  using NextProbe = std::function<std::optional<double>(double lo, double hi)>;
+
+  /// The bracketing both searches share: probes lo and hi, requires a sign
+  /// change between them (in the declared direction, if any), then narrows
+  /// the bracket at the probes `next` yields, re-verifying the trail after
+  /// each. A non-empty `lattice` holds lo and hi; the final cell is then
+  /// certified against its neighbours and its indices reported.
+  SearchOutcome bracket(double lo, double hi, const NextProbe& next,
+                        const std::vector<double>& lattice);
 
   /// Re-verifies the single-flip invariant over the whole probe trail
   /// (sorted by x, signs must change at most once); throws kNonMonotone.

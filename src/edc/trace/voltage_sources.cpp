@@ -238,18 +238,7 @@ WindTurbineSource WindTurbineSource::single_gust(const Params& params) {
   WindTurbineSource src(params);
   src.gusts_.push_back(Gust{0.0, 1.0});
   // Pre-integrate phase over one gust plus margin.
-  const Seconds horizon = params.gust_rise + 6.0 * params.gust_fall + 2.0;
-  const std::size_t n = static_cast<std::size_t>(horizon * 2000.0) + 2;
-  std::vector<double> phase(n);
-  const Seconds dt = horizon / static_cast<double>(n - 1);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    phase[i] = acc;
-    const Seconds t = dt * static_cast<double>(i);
-    const double rel = src.envelope(t) / params.peak_voltage;
-    acc += kTwoPi * params.peak_frequency * rel * dt;
-  }
-  src.phase_ = Waveform(0.0, dt, std::move(phase));
+  src.integrate_phase(params.gust_rise + 6.0 * params.gust_fall + 2.0);
   src.build_quiet_index();
   return src;
 }
@@ -271,18 +260,22 @@ WindTurbineSource::WindTurbineSource(const Params& params, std::uint64_t seed,
                  params.gust_period * (1.0 + params.gust_jitter * rng.normal()));
     t += spacing;
   }
+  integrate_phase(horizon);
+  build_quiet_index();
+}
+
+void WindTurbineSource::integrate_phase(Seconds horizon) {
   const std::size_t n = static_cast<std::size_t>(horizon * 2000.0) + 2;
   std::vector<double> phase(n);
   const Seconds dt = horizon / static_cast<double>(n - 1);
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     phase[i] = acc;
-    const Seconds tt = dt * static_cast<double>(i);
-    const double rel = envelope(tt) / params.peak_voltage;
-    acc += kTwoPi * params.peak_frequency * rel * dt;
+    const Seconds t = dt * static_cast<double>(i);
+    const double rel = envelope(t) / params_.peak_voltage;
+    acc += kTwoPi * params_.peak_frequency * rel * dt;
   }
   phase_ = Waveform(0.0, dt, std::move(phase));
-  build_quiet_index();
 }
 
 Volts WindTurbineSource::envelope_raw(Seconds t) const {
@@ -347,11 +340,9 @@ void WindTurbineSource::build_quiet_index() {
   cells.reserve(max_cells);
   // Per-cell scratch for the chord-certification pass below.
   std::vector<double> u_maxes;
-  std::vector<double> env_uppers;
   std::vector<double> env_lowers;
   std::vector<std::uint8_t> gust_onset;  // a gust starts inside the cell
   u_maxes.reserve(max_cells);
-  env_uppers.reserve(max_cells);
   env_lowers.reserve(max_cells);
   gust_onset.reserve(max_cells);
   double tail_sum = 0.0;  // sum_i s_i * exp(-(a - start_i)/tau_f) at cell start
@@ -395,7 +386,6 @@ void WindTurbineSource::build_quiet_index() {
     }
     cells.push_back(bounds);
     u_maxes.push_back(u_max);
-    env_uppers.push_back(env_upper);
     env_lowers.push_back(env_lower);
     gust_onset.push_back(g != next_gust ? 1 : 0);
     tail_sum = tail_sum * decay_per_cell + fresh_at_b;
@@ -438,12 +428,9 @@ void WindTurbineSource::build_quiet_index() {
   chord_curve_.assign(n_cells, 0.0);
   chord_kink_.assign(n_cells, 0.0);
   for (std::size_t i = 0; i < n_cells; ++i) {
-    if (u_maxes[i] < cut_in || env_uppers[i] < cut_in) {
-      // The envelope provably sits below the cut-in: exactly zero (the
-      // same condition that produced the {0, 0} quiet-index bounds).
-      chord_kind_[i] = kCellZero;
-      continue;
-    }
+    // A cell whose envelope provably sits below the cut-in (exactly zero:
+    // the {0, 0} quiet-index bounds) has env_lower < cut_in, so it is no
+    // chord cell either.
     if (!(env_lowers[i] > cut_in) || gust_onset[i] != 0) continue;
     double u_nb = u_maxes[i];
     if (i > 0) u_nb = std::max(u_nb, u_maxes[i - 1]);

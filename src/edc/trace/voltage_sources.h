@@ -140,6 +140,10 @@ class WindTurbineSource final : public VoltageSource {
   /// The gust-envelope sum before the cut-in threshold zeroes it.
   [[nodiscard]] Volts envelope_raw(Seconds t) const;
 
+  /// Samples the phase (the integral of the instantaneous frequency, which
+  /// follows the envelope of gusts_) over [0, horizon] into phase_.
+  void integrate_phase(Seconds horizon);
+
   /// Builds quiet_ from gusts_ + phase_ (call after both are final).
   void build_quiet_index();
 
@@ -157,7 +161,7 @@ class WindTurbineSource final : public VoltageSource {
   QuietSegmentIndex quiet_;
   // Per-cell chord certification, same cell geometry as quiet_ (t0 = 0,
   // width = quiet_.cell_width()), filled by build_quiet_index.
-  enum : std::uint8_t { kCellNone = 0, kCellZero = 1, kCellChord = 2 };
+  enum : std::uint8_t { kCellNone = 0, kCellChord = 1 };
   std::vector<std::uint8_t> chord_kind_;
   std::vector<double> chord_curve_;  // h^2 coefficient of the chord error
   std::vector<double> chord_kink_;   // h*(h + grid dt) coefficient

@@ -30,15 +30,20 @@
 #include <vector>
 
 #include "edc/checkpoint/interrupt_policy.h"
+#include "edc/checkpoint/null_policy.h"
 #include "edc/circuit/comparator.h"
 #include "edc/circuit/rectifier.h"
 #include "edc/circuit/supply_driver.h"
 #include "edc/circuit/supply_node.h"
 #include "edc/spec/system_spec.h"
 #include "edc/core/system.h"
+#include "edc/mcu/mcu.h"
+#include "edc/sim/quiescent_engine.h"
+#include "edc/sim/simulator.h"
 #include "edc/trace/power_sources.h"
 #include "edc/trace/voltage_sources.h"
 #include "edc/trace/waveform.h"
+#include "edc/workloads/program.h"
 
 namespace {
 
@@ -600,6 +605,56 @@ TEST(ChargeSpanCert, RecordedConstantRunsAreExact) {
   // The trailing zero run extends forever through the clamp.
   EXPECT_TRUE(std::isinf(source.constant_until(0.85, &value)));
   EXPECT_DOUBLE_EQ(value, 0.0);
+}
+
+// ------------------------------------------------- float-guard back-off ---
+
+// time_to_reach and voltage_at invert each other only up to rounding, so
+// the watcher horizon alone can admit a span ending on the power-on level,
+// which would swallow the boot; the planner's float guard backs such spans
+// off a step. A power-on level placed exactly on the planner's own
+// exact-charge trajectory at step k lands the rounding on both sides.
+TEST(QuiescentEngine, FloatGuardEndsSpansBeforeThePowerOnLevel) {
+  const trace::SineVoltageSource dc(0.0, 0.0, 3.3, 50.0);
+  const circuit::RectifiedSourceDriver driver(dc, circuit::RectifierParams{});
+  circuit::SupplyNode node(10e-6);
+  node.set_bleed(20000.0);
+  sim::SimConfig config;
+  config.macro_stepping = true;
+  const Seconds dt = config.dt;
+  auto program = workloads::make_program("crc", 1);
+  checkpoint::NullPolicy policy;
+
+  // The trajectory plan() follows from 0 V: the DC source through one
+  // diode drop, drawing the off-state leakage.
+  const circuit::ChargeSpanCert cert = driver.plan_charge_span(0.0);
+  ASSERT_TRUE(cert.valid);
+  const Amps leakage =
+      mcu::Mcu(mcu::McuParams{}, *program, policy).current_draw(0.0, 0.0);
+  const circuit::AffineSolution trajectory =
+      node.affine_from(0.0, leakage, cert.v_source, 0.0, cert.r_series);
+
+  constexpr std::uint64_t kMaxSteps = 8000;
+  std::uint64_t backed_off = 0;
+  for (std::uint64_t k = 1; k <= 4000; ++k) {
+    mcu::McuParams params;
+    params.power.v_on = trajectory.voltage_at(dt * static_cast<double>(k));
+    if (params.power.v_on < params.power.v_min) continue;
+    const mcu::Mcu mcu(params, *program, policy);
+    const circuit::Crossing crossing = mcu.plan_crossing(
+        trajectory, 0.0, dt * (static_cast<double>(kMaxSteps) + 1.0));
+    if (!std::isfinite(crossing.time)) continue;
+
+    const auto span = sim::QuiescentEngine(config, node, driver, mcu).plan(0.0, kMaxSteps);
+    ASSERT_TRUE(span.has_value()) << "k = " << k;
+    EXPECT_LT(span->v_end, params.power.v_on) << "k = " << k;
+    // The watcher horizon admitted k steps, the guard ended the span sooner.
+    if (span->steps < k &&
+        std::ceil(crossing.time / dt) - 1.0 >= static_cast<double>(k)) {
+      ++backed_off;
+    }
+  }
+  EXPECT_GT(backed_off, 0u);
 }
 
 // ------------------------------------------- never-overclaim contracts ----

@@ -1,8 +1,8 @@
 // Seeded mutation suite for the canonical parsers: spec::parse_spec,
-// sim::parse_result and the sweep cache's entry decode
-// (Cache::fsck_entry + Cache::load on a planted entry). Every mutant of a
-// canonical seed text must either be rejected with canon::FormatError, or
-// be accepted with a canonical re-serialization c that is a fixed point:
+// sim::parse_result and the sweep cache's entry decode (Cache::load on a
+// planted entry). Every mutant of a canonical seed text must either be
+// rejected with canon::FormatError, or be accepted with a canonical
+// re-serialization c that is a fixed point:
 // serialize(parse(c)) == c. Any other outcome — another exception type, a
 // crash, a sanitizer report — fails and prints the seed and the input.
 // Non-canonical spellings such as 1e308 stay accepted. Mutations:
@@ -116,11 +116,10 @@ struct CacheFixture {
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
   }
 
-  /// Plants `bytes`; fsck_entry and load must not throw. Returns the loaded
-  /// row's text; an entry load rejects reads as a FormatError.
+  /// Plants `bytes`; load must not throw. Returns the loaded row's text; an
+  /// entry load rejects reads as a FormatError.
   [[nodiscard]] std::string load(const std::string& bytes) const {
     plant(bytes);
-    (void)sweep::Cache::fsck_entry(path);
     const auto hit = cache.load(key);
     if (!hit) throw canon::FormatError("entry rejected");
     return sim::serialize_result(hit->result);
@@ -315,7 +314,6 @@ TEST(ParserMutation, HugeCountInACachedRowIsQuarantinedAndResimulated) {
   for (const std::string value : {"30000000000", kMaxU64}) {
     for (const std::string& mutant : huge_count_mutants(fixture.row, value)) {
       fixture.plant(fixture.reframe(mutant));
-      EXPECT_NE(sweep::Cache::fsck_entry(fixture.path), "");
       fixture.cache.reset_stats();
       const auto rows = sweep::Runner(options).run(sweep::Grid(probed_spec()));
       EXPECT_EQ(sim::serialize_result(rows.at(0)), fixture.row);

@@ -211,6 +211,19 @@ TEST(SweepCache, CorruptOrForeignEntriesDegradeToMisses) {
   }
   EXPECT_FALSE(cache.load(key).has_value());
 
+  // A well-framed entry whose wall time is negative or NaN is corrupt too:
+  // the Runner only stores measured costs.
+  const std::string row = sim::serialize_result(result);
+  const auto plant = [&](const char* micros) {
+    std::ofstream(entry, std::ios::binary | std::ios::trunc)
+        << "edc.CacheEntry v3\nmicros " << micros << "\nprovenance s\nspec_bytes "
+        << key.size() << '\n' << key << "result_bytes " << row.size() << '\n' << row;
+    return cache.load(key).has_value();
+  };
+  EXPECT_TRUE(plant("1"));
+  EXPECT_FALSE(plant("-1"));
+  EXPECT_FALSE(plant("nan"));
+
   // A different spec hashing (hypothetically) to the same file must also
   // miss: simulate a collision by storing entry bytes for another key at
   // our path.
@@ -320,31 +333,6 @@ TEST(SweepCache, RunnerReportsTheOriginalCostOnWarmRuns) {
   // The canonical double encoding round-trips exactly, so the replayed
   // costs match the measured ones bit for bit.
   EXPECT_EQ(warm_report.micros, cold_report.micros);
-}
-
-TEST(SweepCache, FsckAcceptsHealthyAndFlagsCorruptEntries) {
-  const auto dir = fresh_cache_dir("fsck");
-  sweep::Cache cache(dir);
-  const spec::SystemSpec s = cheap_spec();
-  const std::string key = spec::serialize(s);
-  auto system = spec::instantiate(s);
-  cache.store(key, system.run(), 10.0);
-
-  const std::filesystem::path entry = cache.entry_path(key);
-  EXPECT_EQ(sweep::Cache::fsck_entry(entry), "");
-
-  // A renamed entry no longer matches its embedded key's hash.
-  const std::filesystem::path renamed =
-      entry.parent_path() / "0000000000000000.edcres";
-  std::filesystem::copy_file(entry, renamed);
-  EXPECT_NE(sweep::Cache::fsck_entry(renamed), "");
-
-  // Truncation is undecodable.
-  {
-    std::ofstream out(entry, std::ios::binary | std::ios::trunc);
-    out << "edc.CacheEntry v2\nmicros 1\nspec_bytes 3\nab";
-  }
-  EXPECT_NE(sweep::Cache::fsck_entry(entry), "");
 }
 
 TEST(SweepCache, MapBypassesTheCache) {
